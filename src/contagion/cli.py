@@ -31,13 +31,6 @@ from .experiments import (
 from .graph import GnpParams, GraphFormatError, load_edge_list, sample_gnp, save_edge_list
 from .percolation import percolate
 
-_CONFIG_DEFAULTS = {
-    f.name: f.default
-    for f in dataclasses.fields(ExperimentConfig)
-    if f.default is not dataclasses.MISSING
-}
-
-
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1; argparse's default of 2 is reserved for flags
     def error(self, message):
@@ -65,18 +58,22 @@ def _seed_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated vertex ids, got {text!r}")
 
 
-def _load_or_sample_graph(args):
-    if getattr(args, "graph", None):
-        return load_edge_list(args.graph)
+def _gnp_params(args) -> GnpParams:
     if args.n is None:
         raise ValueError("provide --graph or --n with --p/--d")
-    if getattr(args, "p", None) is not None:
+    if args.p is not None:
         p = args.p
-    elif getattr(args, "d", None) is not None:
+    elif args.d is not None:
         p = args.d / args.n
     else:
         raise ValueError("provide --p or --d alongside --n")
-    return sample_gnp(GnpParams(args.n, p, args.seed))
+    return GnpParams(args.n, p, args.seed)
+
+
+def _load_or_sample_graph(args):
+    if args.graph:
+        return load_edge_list(args.graph)
+    return sample_gnp(_gnp_params(args))
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -89,16 +86,11 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _cmd_generate(args) -> int:
-    if args.p is not None:
-        p = args.p
-    elif args.d is not None:
-        p = args.d / args.n
-    else:
-        raise ValueError("provide --p or --d")
-    graph = sample_gnp(GnpParams(args.n, p, args.seed))
+    params = _gnp_params(args)
+    graph = sample_gnp(params)
     save_edge_list(graph, args.out)
     print(
-        f"sampled G(n={args.n}, p={p:g}) with {graph.edge_count} edges -> {args.out}",
+        f"sampled G(n={args.n}, p={params.p:g}) with {graph.edge_count} edges -> {args.out}",
         file=sys.stderr,
     )
     return 0
@@ -140,45 +132,25 @@ def _cmd_solve(args) -> int:
 
 
 def _batch_config(args) -> ExperimentConfig:
-    file_cfg = {}
+    """ExperimentConfig from the --config file, overridden by explicit flags.
+
+    Every batch flag's argparse ``dest`` is the name of its config field.
+    """
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+            values = json.load(fh)
+        unknown = set(values) - fields
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(name, cli_value, conv=None):
-        if cli_value is not None:
-            return cli_value
-        if name in file_cfg:
-            value = file_cfg[name]
-            return conv(value) if conv and value is not None else value
-        return _CONFIG_DEFAULTS.get(name)
-
-    n_list = pick("n_list", args.n, tuple)
-    if not n_list:
+    values.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
+    if not values.get("n_list"):
         raise ValueError("provide --n or an n_list in --config")
-    return ExperimentConfig(
-        mode=args.mode,
-        n_list=tuple(n_list),
-        d_list=pick("d_list", args.d, tuple),
-        p_list=pick("p_list", args.p, tuple),
-        r=pick("r", args.r),
-        trials=pick("trials", args.trials),
-        master_seed=pick("master_seed", args.seed),
-        out=pick("out", args.out),
-        fmt=pick("fmt", args.format),
-        jobs=pick("jobs", args.jobs),
-        c1=pick("c1", args.c1),
-        k_target=pick("k_target", args.k_target),
-        probe_trials=pick("probe_trials", args.probe_trials),
-        rel_tol=pick("rel_tol", args.rel_tol),
-        p_max_factor=pick("p_max_factor", args.p_max_factor),
-        threshold_mult=pick("threshold_mult", args.threshold_mult),
-        partial_slack=pick("partial_slack", args.slack),
-        partial_d0=pick("partial_d0", args.partial_d0),
-    )
+    for name in ("n_list", "d_list", "p_list"):
+        if values.get(name) is not None:
+            values[name] = tuple(values[name])
+    return ExperimentConfig(**values)
 
 
 def _cmd_batch(args) -> int:
@@ -247,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for mode in MODES:
         batch = sub.add_parser(mode, help=f"batch mode: {mode}")
-        batch.add_argument("--n", type=_int_list, help="comma-separated n values")
-        batch.add_argument("--d", type=_float_list, help="comma-separated mean degrees")
-        batch.add_argument("--p", type=_float_list, help="comma-separated probabilities")
+        batch.add_argument("--n", dest="n_list", type=_int_list, help="comma-separated n values")
+        batch.add_argument("--d", dest="d_list", type=_float_list, help="comma-separated mean degrees")
+        batch.add_argument("--p", dest="p_list", type=_float_list, help="comma-separated probabilities")
         batch.add_argument("--r", type=int)
         batch.add_argument("--trials", type=int)
-        batch.add_argument("--seed", type=int, help="master seed")
+        batch.add_argument("--seed", dest="master_seed", type=int, help="master seed")
         batch.add_argument("--out")
-        batch.add_argument("--format", choices=("csv", "json"))
+        batch.add_argument("--format", dest="fmt", choices=("csv", "json"))
         batch.add_argument("--jobs", type=int)
         batch.add_argument("--config", help="JSON file with ExperimentConfig fields")
         batch.add_argument("--c1", type=float)
@@ -263,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
         batch.add_argument("--rel-tol", dest="rel_tol", type=float)
         batch.add_argument("--p-max-factor", dest="p_max_factor", type=float)
         batch.add_argument("--threshold-mult", dest="threshold_mult", type=float)
-        batch.add_argument("--slack", type=float, help="partial mode slack multiplier")
+        batch.add_argument(
+            "--slack", dest="partial_slack", type=float, help="partial mode slack multiplier"
+        )
         batch.add_argument("--partial-d0", dest="partial_d0", type=float)
         batch.set_defaults(func=_cmd_batch, mode=mode)
     return parser

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -49,13 +48,12 @@ class StageParams:
     ``d0_min`` is the mean degree below which the staged schedule refuses
     and the greedy fallback runs instead.  ``c_seed`` scales the initial
     block size; None picks 1 for r = 2 and min(ceil(102 * (r-1)^(r-1)), 100)
-    for r >= 3.  ``log_base`` is fixed to 2 and recorded for audit only.
+    for r >= 3.
     """
 
     r: int = 2
     d0_min: float = 4.0
     c_seed: float | None = None
-    log_base: int = 2
 
     def __post_init__(self) -> None:
         if int(self.r) != self.r or self.r < 2:
@@ -64,8 +62,6 @@ class StageParams:
             raise ValueError("d0_min must be nonnegative")
         if self.c_seed is not None and self.c_seed <= 0:
             raise ValueError("c_seed must be positive")
-        if self.log_base != 2:
-            raise ValueError("log_base is fixed to 2")
 
     def resolved_c_seed(self) -> float:
         if self.c_seed is not None:
@@ -114,7 +110,8 @@ class ConstructionTrace:
     """Everything the constructor did, for audit and replay in tests.
 
     ``final_seeds`` always equals sorted(a01 union a02).  ``fallback_used``
-    marks runs that skipped the staged schedule entirely.
+    marks runs that skipped the staged schedule entirely.  ``result`` is the
+    engine run that verified the final seeds; it is not serialized.
     """
 
     ell: int
@@ -125,6 +122,7 @@ class ConstructionTrace:
     a02: list[int] = field(default_factory=list)
     final_seeds: list[int] = field(default_factory=list)
     fallback_used: bool = False
+    result: PercolationResult | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,14 +138,13 @@ class ConstructionTrace:
 
 
 def construct_contagious(
-    graph: Graph, params: StageParams | None = None, rng_seed: int = 0
+    graph: Graph, params: StageParams | None = None
 ) -> tuple[frozenset[int], ConstructionTrace]:
     """Build a verified contagious set for ``graph`` under threshold params.r.
 
     The procedure is deterministic: block choices break ties toward lower
-    vertex ids, so ``rng_seed`` is accepted for interface stability but the
-    current schedule never consumes randomness.  The returned set is always
-    re-verified contagious by the engine before this function returns.
+    vertex ids.  The returned set is always re-verified contagious by the
+    engine before this function returns, and ``trace.result`` holds that run.
     """
     params = params or StageParams()
     n = graph.vertex_count
@@ -159,7 +156,8 @@ def construct_contagious(
     if d > 1.0:
         initial_target = int(c_seed * n / (d**exponent * math.log2(d)))
 
-    if d < params.d0_min or initial_target < 1 or not is_connected(graph):
+    # An initial block of n or more vertices leaves the schedule nothing to grow.
+    if d < params.d0_min or not 1 <= initial_target < n or not is_connected(graph):
         seeds, trace = _fallback_construct(graph, r, d)
     else:
         seeds, trace = _staged_construct(graph, r, d, c_seed, initial_target)
@@ -170,6 +168,7 @@ def construct_contagious(
             f"constructed set of size {len(seeds)} failed verification "
             f"({check.active_count} of {n} active)"
         )
+    trace.result = check
     return seeds, trace
 
 

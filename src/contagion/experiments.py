@@ -25,7 +25,7 @@ import math
 import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from typing import Callable
 
@@ -235,18 +235,14 @@ class ExperimentOutcome:
     flagged: bool
 
 
-def _require(config: ExperimentConfig, attr: str) -> tuple:
-    values = getattr(config, attr)
-    if not values:
-        raise ValueError(f"mode {config.mode!r} requires {attr}")
-    return values
-
-
 def _map_tasks(fn: Callable, config: ExperimentConfig, tasks: list[tuple]) -> list:
+    """Run ``fn(config, *task)`` per task and concatenate the returned lists."""
     if config.jobs <= 1 or len(tasks) <= 1:
-        return [fn(config, *task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(functools.partial(fn, config), *zip(*tasks)))
+        batches = [fn(config, *task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            batches = list(pool.map(functools.partial(fn, config), *zip(*tasks)))
+    return [rec for batch in batches for rec in batch]
 
 
 def _median(values) -> float | None:
@@ -254,25 +250,34 @@ def _median(values) -> float | None:
     return float(statistics.median(values)) if values else None
 
 
-# ---------------------------------------------------------------- sweep
+def _rate(records) -> float:
+    return sum(1 for r in records if r.success) / len(records)
+
+
+def _trial_start(config: ExperimentConfig, n: int, x: float, trial: int):
+    """Seed, graph and shared record fields of one trial at grid point (n, x).
+
+    ``x`` is the mean degree d or the edge probability p, whichever is the
+    mode's grid axis in ``_MODE_TABLE``.
+    """
+    seed = derive_seed(config.master_seed, config.mode, n, x, trial)
+    d, p = (x, x / n) if _MODE_TABLE[config.mode][0] == "d" else (x * n, x)
+    graph = sample_gnp(GnpParams(n, p, derive_seed(seed, "graph")))
+    common = dict(mode=config.mode, n=n, d=d, p=p, r=config.r, trial=trial, rng_seed=seed)
+    return seed, graph, common
+
+
+# ---------------------------------------------------------------- trials
 
 
 def _sweep_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> list[ExperimentRecord]:
-    seed = derive_seed(config.master_seed, "sweep", n, float(d), trial)
-    p = d / n
-    graph = sample_gnp(GnpParams(n, p, derive_seed(seed, "graph")))
+    _, graph, common = _trial_start(config, n, d, trial)
     seeds, trace = construct_contagious(graph, StageParams(r=config.r))
-    result = percolate(graph, seeds, config.r)
+    result = trace.result
     size = len(seeds)
     return [
         ExperimentRecord(
-            mode="sweep",
-            n=n,
-            d=float(d),
-            p=p,
-            r=config.r,
-            trial=trial,
-            rng_seed=seed,
+            **common,
             variant="construct",
             seed_size=size,
             active_count=result.active_count,
@@ -281,174 +286,53 @@ def _sweep_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> list
             success=result.contagious,
             constructed_size=size,
             normalized_size=normalized_size(size, n, d, config.r),
-            value=1.0 if trace.fallback_used else 0.0,
+            value=float(trace.fallback_used),
         )
     ]
 
 
-def run_sweep(config: ExperimentConfig) -> ExperimentOutcome:
-    d_list = _require(config, "d_list")
-    tasks = [(n, float(d), t) for n in config.n_list for d in d_list for t in range(config.trials)]
-    records = [rec for batch in _map_tasks(_sweep_trial, config, tasks) for rec in batch]
-    records.sort(key=ExperimentRecord.sort_key)
-    lo, hi = statistical_thresholds()["sweep_normalized_band"]
-    flagged = False
-    summary: dict = {"groups": []}
-    for n in config.n_list:
-        for d in d_list:
-            group = [r for r in records if r.n == n and r.d == float(d)]
-            norms = [r.normalized_size for r in group if r.normalized_size is not None]
-            out_of_band = [x for x in norms if not (lo <= x <= hi)]
-            flagged = flagged or bool(out_of_band)
-            summary["groups"].append(
-                {
-                    "n": n,
-                    "d": float(d),
-                    "median_size": _median([r.constructed_size for r in group]),
-                    "median_normalized": _median(norms),
-                    "out_of_band": len(out_of_band),
-                }
-            )
-    summary["normalized_band"] = [lo, hi]
-    return ExperimentOutcome(records, summary, flagged)
-
-
-# ------------------------------------------------------------- threshold
-
-
 def _tuple_params(config: ExperimentConfig, n: int, rng_seed: int) -> TupleSearchParams:
-    if config.k_target is not None:
-        k = max(config.r + 1, config.k_target)
-        return TupleSearchParams(
-            r=config.r,
-            k_target=k,
-            c1=config.c1,
-            max_iterations=max(1, n // (2 * k)),
-            rng_seed=rng_seed,
+    params = TupleSearchParams.for_graph(n, r=config.r, c1=config.c1, rng_seed=rng_seed)
+    if config.k_target is None:
+        return params
+    k = max(config.r + 1, config.k_target)
+    return replace(params, k_target=k, max_iterations=max(1, n // (2 * k)))
+
+
+def _search_trial(config: ExperimentConfig, n: int, p: float, trial: int) -> list[ExperimentRecord]:
+    """One r-tuple search: a ``threshold`` probe or a ``generations`` find."""
+    seed, graph, common = _trial_start(config, n, p, trial)
+    found = search_minimal_tuple(graph, _tuple_params(config, n, derive_seed(seed, "search")))
+    variant = "probe" if config.mode == "threshold" else "tuple"
+    if found is None:
+        return [ExperimentRecord(**common, variant=variant, success=False)]
+    result = found[1]
+    violations = None
+    if config.mode == "generations":
+        violations = float(growth_violations(result.per_round_counts, len(result.seeds), n, p))
+    return [
+        ExperimentRecord(
+            **common,
+            variant=variant,
+            seed_size=config.r,
+            active_count=result.active_count,
+            tau=result.tau,
+            contagious=result.contagious,
+            success=True,
+            value=violations,
         )
-    return TupleSearchParams.for_graph(n, r=config.r, c1=config.c1, rng_seed=rng_seed)
-
-
-def _threshold_trial(config: ExperimentConfig, n: int, p: float, trial: int) -> ExperimentRecord:
-    seed = derive_seed(config.master_seed, "threshold", n, float(p), trial)
-    graph = sample_gnp(GnpParams(n, p, derive_seed(seed, "graph")))
-    params = _tuple_params(config, n, derive_seed(seed, "search"))
-    found = search_minimal_tuple(graph, params)
-    tau = found[1].tau if found else None
-    active = found[1].active_count if found else None
-    return ExperimentRecord(
-        mode="threshold",
-        n=n,
-        d=p * n,
-        p=float(p),
-        r=config.r,
-        trial=trial,
-        rng_seed=seed,
-        variant="probe",
-        seed_size=config.r if found else None,
-        active_count=active,
-        tau=tau,
-        contagious=bool(found) or None,
-        success=found is not None,
-    )
-
-
-def predicted_threshold(n: int, r: int) -> float:
-    """Theory-scale crossing point (n * (ln n)^(r-1)) ** (-1/r); bracket seed."""
-    return (n * math.log(n) ** (r - 1)) ** (-1.0 / r)
-
-
-def run_threshold(config: ExperimentConfig) -> ExperimentOutcome:
-    records: list[ExperimentRecord] = []
-    summary: dict = {"per_n": []}
-    flagged = False
-    for n in config.n_list:
-        rate_cache: dict[float, float] = {}
-
-        def rate(p: float) -> float:
-            if p not in rate_cache:
-                tasks = [(n, p, t) for t in range(config.probe_trials)]
-                probe = _map_tasks(_threshold_trial, config, tasks)
-                records.extend(probe)
-                rate_cache[p] = sum(1 for r in probe if r.success) / len(probe)
-            return rate_cache[p]
-
-        p_pred = predicted_threshold(n, config.r)
-        cap = min(0.5, p_pred * config.p_max_factor)
-        floor = p_pred / config.p_max_factor
-        hi = p_pred
-        no_crossing = False
-        while rate(hi) < 0.5:
-            hi *= 2.0
-            if hi > cap:
-                no_crossing = True
-                break
-        p50 = p_lo = p_hi = ratio = None
-        if not no_crossing:
-            lo = hi / 2.0
-            while rate(lo) >= 0.5:
-                lo /= 2.0
-                if lo < floor:
-                    break
-            while hi - lo > config.rel_tol * hi:
-                mid = (lo + hi) / 2.0
-                if rate(mid) >= 0.5:
-                    hi = mid
-                else:
-                    lo = mid
-            p_lo, p_hi = lo, hi
-            p50 = (lo + hi) / 2.0
-            ratio = p50 * (n * math.log(n) ** (config.r - 1)) ** (1.0 / config.r)
-            records.append(
-                ExperimentRecord(
-                    mode="threshold",
-                    n=n,
-                    d=p50 * n,
-                    p=p50,
-                    r=config.r,
-                    trial=-1,
-                    rng_seed=0,
-                    variant="summary",
-                    success=True,
-                    value=p50,
-                    value2=ratio,
-                )
-            )
-        else:
-            flagged = True
-        summary["per_n"].append(
-            {
-                "n": n,
-                "p50": p50,
-                "p_lo": p_lo,
-                "p_hi": p_hi,
-                "ratio": ratio,
-                "no_crossing": no_crossing,
-                "probes": sorted(rate_cache),
-            }
-        )
-    ratios = [e["ratio"] for e in summary["per_n"] if e["ratio"] is not None]
-    if len(ratios) >= 2:
-        summary["ratio_spread"] = max(ratios) / min(ratios)
-    records.sort(key=ExperimentRecord.sort_key)
-    return ExperimentOutcome(records, summary, flagged)
-
-
-# --------------------------------------------------------------- compare
+    ]
 
 
 def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> list[ExperimentRecord]:
-    seed = derive_seed(config.master_seed, "compare", n, float(d), trial)
-    p = d / n
-    r = config.r
-    graph = sample_gnp(GnpParams(n, p, derive_seed(seed, "graph")))
+    seed, graph, common = _trial_start(config, n, d, trial)
+    p, r = common["p"], config.r
     a_c = critical_random_seed_size(n, p, r)
     cuts = statistical_thresholds()
     full_fraction = cuts["cascade_fraction"]
     stall_cap = cuts["stall_slack"] * 2.0 * (
         math.factorial(r - 1) / (n * p**r)
     ) ** (1.0 / (r - 1))
-    common = dict(mode="compare", n=n, d=float(d), p=p, r=r, trial=trial, rng_seed=seed)
     records = []
 
     size_hi = min(n, int(2.0 * a_c))
@@ -495,7 +379,7 @@ def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
             constructed_size=len(seeds),
             success=True,
             normalized_size=normalized_size(len(seeds), n, d, r),
-            value=1.0 if trace.fallback_used else 0.0,
+            value=float(trace.fallback_used),
         )
     )
 
@@ -533,135 +417,8 @@ def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
     return records
 
 
-def run_compare(config: ExperimentConfig) -> ExperimentOutcome:
-    d_list = _require(config, "d_list")
-    for n in config.n_list:
-        for d in d_list:
-            p = d / n
-            if d < 5.0 or p > 0.5 * n ** (-1.0 / config.r):
-                warnings.warn(
-                    f"compare mode outside its sparse regime at n={n}, d={d}; "
-                    "dichotomy predictions may not apply",
-                    stacklevel=2,
-                )
-    tasks = [(n, float(d), t) for n in config.n_list for d in d_list for t in range(config.trials)]
-    records = [rec for batch in _map_tasks(_compare_trial, config, tasks) for rec in batch]
-    records.sort(key=ExperimentRecord.sort_key)
-    cuts = statistical_thresholds()
-    flagged = False
-    summary: dict = {"groups": []}
-    for n in config.n_list:
-        for d in d_list:
-            group = [r for r in records if r.n == n and r.d == float(d)]
-            cascade = [r for r in group if r.variant == "random_cascade"]
-            stall = [r for r in group if r.variant == "random_stall"]
-            crit = [r for r in group if r.variant == "critical_size"]
-            cascade_rate = sum(1 for r in cascade if r.success) / len(cascade)
-            stall_rate = sum(1 for r in stall if r.success) / len(stall)
-            if cascade_rate < cuts["cascade_pass_rate"] or stall_rate < cuts["stall_pass_rate"]:
-                flagged = True
-            summary["groups"].append(
-                {
-                    "n": n,
-                    "d": float(d),
-                    "cascade_pass_rate": cascade_rate,
-                    "stall_pass_rate": stall_rate,
-                    "predicted_critical": crit[0].value2 if crit else None,
-                    "median_empirical_critical": _median([r.value for r in crit]),
-                    "median_constructed": _median(
-                        [r.constructed_size for r in group if r.variant == "construct"]
-                    ),
-                }
-            )
-    return ExperimentOutcome(records, summary, flagged)
-
-
-# ----------------------------------------------------------- generations
-
-
-def _generations_trial(config: ExperimentConfig, n: int, p: float, trial: int) -> ExperimentRecord:
-    seed = derive_seed(config.master_seed, "generations", n, float(p), trial)
-    graph = sample_gnp(GnpParams(n, p, derive_seed(seed, "graph")))
-    params = _tuple_params(config, n, derive_seed(seed, "search"))
-    found = search_minimal_tuple(graph, params)
-    if found is None:
-        return ExperimentRecord(
-            mode="generations",
-            n=n,
-            d=p * n,
-            p=float(p),
-            r=config.r,
-            trial=trial,
-            rng_seed=seed,
-            variant="tuple",
-            success=False,
-        )
-    _, result = found
-    violations = growth_violations(result.per_round_counts, len(result.seeds), n, p)
-    return ExperimentRecord(
-        mode="generations",
-        n=n,
-        d=p * n,
-        p=float(p),
-        r=config.r,
-        trial=trial,
-        rng_seed=seed,
-        variant="tuple",
-        seed_size=config.r,
-        active_count=result.active_count,
-        tau=result.tau,
-        contagious=result.contagious,
-        success=True,
-        value=float(violations),
-    )
-
-
-def run_generations(config: ExperimentConfig) -> ExperimentOutcome:
-    pairs: list[tuple[int, float]] = []
-    for n in config.n_list:
-        if config.p_list:
-            pairs.extend((n, float(p)) for p in config.p_list)
-        else:
-            pairs.append((n, config.threshold_mult * predicted_threshold(n, config.r)))
-    tasks = [(n, p, t) for n, p in pairs for t in range(config.trials)]
-    records = _map_tasks(_generations_trial, config, tasks)
-    records.sort(key=ExperimentRecord.sort_key)
-    cuts = statistical_thresholds()
-    flagged = False
-    summary: dict = {"groups": []}
-    for n, p in pairs:
-        group = [r for r in records if r.n == n and r.p == p]
-        found = [r for r in group if r.success]
-        violations = int(sum(r.value or 0.0 for r in found))
-        median_tau = _median([r.tau for r in found])
-        tau_cap = None
-        if n > 3:
-            tau_cap = cuts["tau_cap_multiplier"] * math.log(math.log(n))
-        if violations > 0:
-            flagged = True
-        if median_tau is not None and tau_cap is not None and median_tau > tau_cap:
-            flagged = True
-        summary["groups"].append(
-            {
-                "n": n,
-                "p": p,
-                "found": len(found),
-                "trials": len(group),
-                "median_tau": median_tau,
-                "tau_cap": tau_cap,
-                "growth_violations": violations,
-            }
-        )
-    return ExperimentOutcome(records, summary, flagged)
-
-
-# ---------------------------------------------------------------- partial
-
-
-def _partial_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> ExperimentRecord:
-    seed = derive_seed(config.master_seed, "partial", n, float(d), trial)
-    p = d / n if n else 0.0
-    graph = sample_gnp(GnpParams(n, p, derive_seed(seed, "graph")))
+def _partial_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> list[ExperimentRecord]:
+    seed, graph, common = _trial_start(config, n, d, trial)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "half")))
     half = math.ceil(n / 2)
     result = percolate(graph, rng.choice(n, size=half, replace=False), config.r)
@@ -670,70 +427,237 @@ def _partial_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> Ex
     if slack is None:
         slack = statistical_thresholds()["partial_slack"]
     bound = slack * max(1.0, n / d**3) if d > 0 else None
-    out_of_model = d < config.partial_d0
-    return ExperimentRecord(
-        mode="partial",
-        n=n,
-        d=float(d),
-        p=p,
-        r=config.r,
-        trial=trial,
-        rng_seed=seed,
-        variant="partial_out_of_model" if out_of_model else "partial",
-        seed_size=half,
-        active_count=result.active_count,
-        tau=result.tau,
-        contagious=result.contagious,
-        success=(inactive <= bound) if bound is not None else None,
-        value=float(inactive),
-        value2=bound,
-    )
+    return [
+        ExperimentRecord(
+            **common,
+            variant="partial_out_of_model" if d < config.partial_d0 else "partial",
+            seed_size=half,
+            active_count=result.active_count,
+            tau=result.tau,
+            contagious=result.contagious,
+            success=(inactive <= bound) if bound is not None else None,
+            value=float(inactive),
+            value2=bound,
+        )
+    ]
 
 
-def run_partial(config: ExperimentConfig) -> ExperimentOutcome:
-    d_list = _require(config, "d_list")
-    tasks = [(n, float(d), t) for n in config.n_list for d in d_list for t in range(config.trials)]
-    records = _map_tasks(_partial_trial, config, tasks)
-    records.sort(key=ExperimentRecord.sort_key)
+# ------------------------------------------------------ per-point summaries
+#
+# Each takes the records of one grid point and returns that point's summary
+# entry (beyond n and the axis value) and whether the point raises a flag.
+
+
+def _sweep_summary(group) -> tuple[dict, bool]:
+    lo, hi = statistical_thresholds()["sweep_normalized_band"]
+    norms = [r.normalized_size for r in group if r.normalized_size is not None]
+    out_of_band = [x for x in norms if not (lo <= x <= hi)]
+    entry = {
+        "median_size": _median([r.constructed_size for r in group]),
+        "median_normalized": _median(norms),
+        "out_of_band": len(out_of_band),
+    }
+    return entry, bool(out_of_band)
+
+
+def _compare_summary(group) -> tuple[dict, bool]:
     cuts = statistical_thresholds()
+    by_variant: dict[str, list] = {}
+    for rec in group:
+        by_variant.setdefault(rec.variant, []).append(rec)
+    cascade_rate = _rate(by_variant["random_cascade"])
+    stall_rate = _rate(by_variant["random_stall"])
+    crit = by_variant["critical_size"]
+    entry = {
+        "cascade_pass_rate": cascade_rate,
+        "stall_pass_rate": stall_rate,
+        "predicted_critical": crit[0].value2,
+        "median_empirical_critical": _median([r.value for r in crit]),
+        "median_constructed": _median([r.constructed_size for r in by_variant["construct"]]),
+    }
+    flagged = cascade_rate < cuts["cascade_pass_rate"] or stall_rate < cuts["stall_pass_rate"]
+    return entry, flagged
+
+
+def _generations_summary(group) -> tuple[dict, bool]:
+    n = group[0].n
+    found = [r for r in group if r.success]
+    violations = int(sum(r.value or 0.0 for r in found))
+    median_tau = _median([r.tau for r in found])
+    tau_cap = None
+    if n > 3:
+        tau_cap = statistical_thresholds()["tau_cap_multiplier"] * math.log(math.log(n))
+    entry = {
+        "found": len(found),
+        "trials": len(group),
+        "median_tau": median_tau,
+        "tau_cap": tau_cap,
+        "growth_violations": violations,
+    }
+    runaway = median_tau is not None and tau_cap is not None and median_tau > tau_cap
+    return entry, violations > 0 or runaway
+
+
+def _partial_summary(group) -> tuple[dict, bool]:
+    in_model = [r for r in group if r.variant == "partial"]
+    rate = _rate(in_model) if in_model else None
+    entry = {
+        "in_model": len(in_model),
+        "out_of_model": len(group) - len(in_model),
+        "pass_rate": rate,
+        "max_inactive": max((r.value for r in group), default=None),
+    }
+    return entry, rate is not None and rate < statistical_thresholds()["partial_pass_rate"]
+
+
+# mode -> (grid axis, trial function, per-point summary).  ``threshold``
+# bisects over p adaptively instead of walking a fixed grid.
+_MODE_TABLE = {
+    "sweep": ("d", _sweep_trial, _sweep_summary),
+    "threshold": ("p", _search_trial, None),
+    "compare": ("d", _compare_trial, _compare_summary),
+    "generations": ("p", _search_trial, _generations_summary),
+    "partial": ("d", _partial_trial, _partial_summary),
+}
+
+
+def _grid_points(config: ExperimentConfig, axis: str) -> list[tuple[int, float]]:
+    if axis == "d":
+        if not config.d_list:
+            raise ValueError(f"mode {config.mode!r} requires d_list")
+        return [(n, float(d)) for n in config.n_list for d in config.d_list]
+    # generations: the given p values, or a multiple of the predicted threshold
+    return [
+        (n, float(p))
+        for n in config.n_list
+        for p in config.p_list or [config.threshold_mult * predicted_threshold(n, config.r)]
+    ]
+
+
+def _run_grid(config: ExperimentConfig) -> ExperimentOutcome:
+    """Run every trial at every grid point, then summarize and flag each point."""
+    axis, trial_fn, summarize = _MODE_TABLE[config.mode]
+    points = _grid_points(config, axis)
+    if config.mode == "compare":
+        for n, d in points:
+            if d < 5.0 or d / n > 0.5 * n ** (-1.0 / config.r):
+                warnings.warn(
+                    f"compare mode outside its sparse regime at n={n}, d={d}; "
+                    "dichotomy predictions may not apply",
+                    stacklevel=3,
+                )
+    tasks = [(n, x, t) for n, x in points for t in range(config.trials)]
+    records = _map_tasks(trial_fn, config, tasks)
+    records.sort(key=ExperimentRecord.sort_key)
     flagged = False
-    summary: dict = {"groups": []}
+    groups = []
+    for n, x in points:
+        group = [r for r in records if r.n == n and getattr(r, axis) == x]
+        entry, flag = summarize(group)
+        flagged = flagged or flag
+        groups.append({"n": n, axis: x, **entry})
+    summary: dict = {"groups": groups}
+    if config.mode == "sweep":
+        summary["normalized_band"] = list(statistical_thresholds()["sweep_normalized_band"])
+    return ExperimentOutcome(records, summary, flagged)
+
+
+# ------------------------------------------------------------- threshold
+
+
+def predicted_threshold(n: int, r: int) -> float:
+    """Theory-scale crossing point (n * (ln n)^(r-1)) ** (-1/r); bracket seed."""
+    return (n * math.log(n) ** (r - 1)) ** (-1.0 / r)
+
+
+def run_threshold(config: ExperimentConfig) -> ExperimentOutcome:
+    """Bracket, then bisect, the p where the tuple search succeeds half the time.
+
+    A bracket that cannot be closed on either side (no success up to the cap,
+    or still success below the floor) sets ``no_crossing`` and flags the run.
+    """
+    records: list[ExperimentRecord] = []
+    summary: dict = {"per_n": []}
+    flagged = False
     for n in config.n_list:
-        for d in d_list:
-            group = [r for r in records if r.n == n and r.d == float(d)]
-            in_model = [r for r in group if r.variant == "partial"]
-            rate = None
-            if in_model:
-                rate = sum(1 for r in in_model if r.success) / len(in_model)
-                if rate < cuts["partial_pass_rate"]:
-                    flagged = True
-            summary["groups"].append(
-                {
-                    "n": n,
-                    "d": float(d),
-                    "in_model": len(in_model),
-                    "out_of_model": len(group) - len(in_model),
-                    "pass_rate": rate,
-                    "max_inactive": max((r.value for r in group), default=None),
-                }
+        rate_cache: dict[float, float] = {}
+
+        def rate(p: float) -> float:
+            if p not in rate_cache:
+                tasks = [(n, p, t) for t in range(config.probe_trials)]
+                probe = _map_tasks(_search_trial, config, tasks)
+                records.extend(probe)
+                rate_cache[p] = _rate(probe)
+            return rate_cache[p]
+
+        p_pred = predicted_threshold(n, config.r)
+        cap = min(0.5, p_pred * config.p_max_factor)
+        floor = p_pred / config.p_max_factor
+        hi = p_pred
+        no_crossing = False
+        while rate(hi) < 0.5:
+            hi *= 2.0
+            if hi > cap:
+                no_crossing = True
+                break
+        lo = hi / 2.0
+        while not no_crossing and rate(lo) >= 0.5:
+            lo /= 2.0
+            no_crossing = lo < floor
+        p50 = p_lo = p_hi = ratio = None
+        if no_crossing:
+            flagged = True
+        else:
+            while hi - lo > config.rel_tol * hi:
+                mid = (lo + hi) / 2.0
+                if rate(mid) >= 0.5:
+                    hi = mid
+                else:
+                    lo = mid
+            p_lo, p_hi = lo, hi
+            p50 = (lo + hi) / 2.0
+            ratio = p50 * (n * math.log(n) ** (config.r - 1)) ** (1.0 / config.r)
+            records.append(
+                ExperimentRecord(
+                    mode="threshold",
+                    n=n,
+                    d=p50 * n,
+                    p=p50,
+                    r=config.r,
+                    trial=-1,
+                    rng_seed=0,
+                    variant="summary",
+                    success=True,
+                    value=p50,
+                    value2=ratio,
+                )
             )
+        summary["per_n"].append(
+            {
+                "n": n,
+                "p50": p50,
+                "p_lo": p_lo,
+                "p_hi": p_hi,
+                "ratio": ratio,
+                "no_crossing": no_crossing,
+                "probes": sorted(rate_cache),
+            }
+        )
+    ratios = [e["ratio"] for e in summary["per_n"] if e["ratio"] is not None]
+    if len(ratios) >= 2:
+        summary["ratio_spread"] = max(ratios) / min(ratios)
+    records.sort(key=ExperimentRecord.sort_key)
     return ExperimentOutcome(records, summary, flagged)
 
 
 # ------------------------------------------------------------ dispatch/IO
 
 
-_RUNNERS = {
-    "sweep": run_sweep,
-    "threshold": run_threshold,
-    "compare": run_compare,
-    "generations": run_generations,
-    "partial": run_partial,
-}
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
-    return _RUNNERS[config.mode](config)
+    if config.mode == "threshold":
+        return run_threshold(config)
+    return _run_grid(config)
+
 
 
 def render_csv(records: list[ExperimentRecord]) -> str:

@@ -149,9 +149,10 @@ def validate_result(graph: Graph, result: PercolationResult) -> None:
     """Replay a trace and raise ValueError on any internal inconsistency.
 
     Checks the seed/generation correspondence, the per-round counts, tau,
-    the contagious flag, and the activation rule itself: every vertex of
+    the contagious flag, the activation rule itself (every vertex of
     generation g >= 1 has at least r neighbors of strictly earlier
-    generation.
+    generation) and fixation (every vertex left inactive has fewer than r
+    active neighbors).
     """
     n = graph.vertex_count
     gen = result.generation
@@ -175,12 +176,25 @@ def validate_result(graph: Graph, result: PercolationResult) -> None:
         raise ValueError("per-round counts disagree with the generation map")
     if any(c <= 0 for c in result.per_round_counts):
         raise ValueError("a round with no activations was recorded")
-    for g in range(1, tau + 1):
-        members = np.flatnonzero(gen == g)
-        for v in members.tolist():
-            nbr_gen = gen[graph.neighbors(v)]
-            earlier = np.count_nonzero((nbr_gen != NEVER) & (nbr_gen < g))
-            if earlier < r:
-                raise ValueError(
-                    f"vertex {v} activated in round {g} with only {earlier} earlier neighbors"
-                )
+    # Rank inactive vertices after every round; then, for an active vertex,
+    # "earlier" neighbors are those of lower generation, and for an inactive
+    # one they are all its active neighbors.
+    rank = np.where(gen == NEVER, tau + 1, gen)
+    degrees = graph.degrees
+    earlier = rank[graph.indices] < np.repeat(rank, degrees)
+    owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    earlier_count = np.bincount(owners[earlier], minlength=n)
+    short = np.flatnonzero((gen >= 1) & (earlier_count < r))
+    if short.size:
+        v = int(short[np.argmin(gen[short])])
+        raise ValueError(
+            f"vertex {v} activated in round {gen[v]} with only "
+            f"{earlier_count[v]} earlier neighbors"
+        )
+    stuck = np.flatnonzero((gen == NEVER) & (earlier_count >= r))
+    if stuck.size:
+        v = int(stuck[0])
+        raise ValueError(
+            f"vertex {v} is inactive with {earlier_count[v]} active neighbors, "
+            f"so it would activate by round {tau + 1}: the trace stops before fixation"
+        )

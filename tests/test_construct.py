@@ -144,6 +144,21 @@ class TestConstructor:
         res = percolate(g, seeds, 3)
         assert res.contagious
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_initial_block_too_large_takes_fallback(self, seed):
+        # r = 3 puts c_seed at 100, so the initial block would exceed n = 40
+        g = sample_gnp(GnpParams(40, 0.15, seed))
+        seeds, trace = construct_contagious(g, StageParams(r=3))
+        assert trace.fallback_used
+        assert_contagious(g, seeds, 3)
+
+    def test_trace_keeps_verifying_run(self):
+        g = sample_gnp(GnpParams(3000, 30.0 / 3000, 4))
+        seeds, trace = construct_contagious(g)
+        assert trace.result.seeds == seeds
+        assert trace.result.contagious
+        assert "result" not in trace.to_json_dict()
+
     def test_trace_json_round_trip(self):
         g = sample_gnp(GnpParams(20_000, 40.0 / 20_000, 3))
         _, trace = construct_contagious(g)

@@ -15,6 +15,7 @@ from contagion import (
     derive_seed,
     growth_violations,
     normalized_size,
+    percolate,
     predicted_threshold,
     render_output,
     run_experiment,
@@ -179,6 +180,23 @@ class TestDeterminism:
         assert keys == sorted(keys)
 
 
+def test_threshold_flags_unclosed_lower_bracket(monkeypatch):
+    # A search that always succeeds never brackets 0.5 from below.
+    def always_found(graph, params):
+        result = percolate(graph, range(graph.vertex_count), params.r)
+        return frozenset(range(params.r)), result
+
+    monkeypatch.setattr("contagion.experiments.search_minimal_tuple", always_found)
+    cfg = ExperimentConfig(mode="threshold", n_list=(300,), probe_trials=2)
+    outcome = run_experiment(cfg)
+    (entry,) = outcome.summary["per_n"]
+    assert outcome.flagged
+    assert entry["no_crossing"]
+    assert entry["p_lo"] is None and entry["p50"] is None
+    assert min(entry["probes"]) >= predicted_threshold(300, 2) / cfg.p_max_factor
+    assert all(rec.variant == "probe" for rec in outcome.records)
+
+
 class TestConfigValidation:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -273,3 +291,58 @@ class TestCli:
         main(["sweep", "--config", str(cfg), "--trials", "3", "--out", str(out)])
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + 3
+
+
+# blake2b (16-byte) digests of the rendered CSV and JSON for one small config
+# per mode.  They pin the records, the summaries and the flags, so a change to
+# the harness that alters any output byte fails here.
+PINNED_OUTPUT = {
+    "sweep": (
+        dict(mode="sweep", n_list=(1500, 3000), d_list=(30.0, 60.0), trials=2),
+        "c472ea934056fe8e6154335c60b52bc4",
+        "2dd7a72b6beaaace1cc3025870fa0896",
+    ),
+    "threshold": (
+        dict(mode="threshold", n_list=(2000, 4000), probe_trials=6),
+        "32aaa49d01b2637d921f7423bf582584",
+        "bcb10acf0e16fe28f31193deb46306cd",
+    ),
+    "compare": (
+        dict(mode="compare", n_list=(3000,), d_list=(10.0, 20.0), trials=2),
+        "6a5caa53ca04a0b72310fc37144dd894",
+        "5f0f3aeebcef737170e5628df9a842a6",
+    ),
+    "generations": (
+        dict(mode="generations", n_list=(2000,), trials=3),
+        "1e45ce74d8a747004432fec63447816d",
+        "5d22a9cbefa8e836378bad209278d5c0",
+    ),
+    "generations_p_list": (
+        dict(mode="generations", n_list=(2000,), p_list=(0.004, 0.02), trials=3),
+        "14b9efd52197b45493f7e57d14d96b2a",
+        "bc6b06f1951d913198daed0b5bf14f6a",
+    ),
+    "partial": (
+        # d = 5 lies below partial_d0 = 10, d = 12 above it
+        dict(mode="partial", n_list=(2000,), d_list=(5.0, 12.0), trials=2),
+        "dff8660d566bc68401e63fa140df4688",
+        "4141dc4920e6237cb6294ba600508edf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUT))
+def test_rendered_output_is_pinned(name):
+    import dataclasses
+    import hashlib
+
+    kwargs, csv_digest, json_digest = PINNED_OUTPUT[name]
+    cfg = ExperimentConfig(master_seed=3, **kwargs)
+    outcome = run_experiment(cfg)
+
+    def digest(text: str) -> str:
+        return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+    assert digest(render_output(cfg, outcome)) == csv_digest
+    json_cfg = dataclasses.replace(cfg, fmt="json")
+    assert digest(render_output(json_cfg, outcome)) == json_digest

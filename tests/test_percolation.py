@@ -13,6 +13,7 @@ from contagion import (
     NEVER,
     GnpParams,
     Graph,
+    PercolationResult,
     mandatory_seeds,
     percolate,
     sample_gnp,
@@ -201,6 +202,26 @@ class TestValidator:
         with pytest.raises(ValueError):
             validate_result(path5, res)
 
+    def test_names_vertex_and_round_without_support(self, path5):
+        res = percolate(path5, [0, 2], 2)
+        res.generation[3] = 1  # one earlier neighbor (2), not two
+        res.active_count, res.per_round_counts = 4, (2,)
+        with pytest.raises(ValueError, match="vertex 3 activated in round 1 with only 1 earlier"):
+            validate_result(path5, res)
+
+    def test_rejects_trace_cut_before_fixation(self):
+        g = sample_gnp(GnpParams(2000, 0.01, 1))
+        seeds = np.random.default_rng(0).choice(2000, size=40, replace=False)
+        res = percolate(g, seeds, 3)
+        assert res.tau > 1
+        # Keep rounds 0 and 1 and make the trace consistent with itself.
+        res.generation[res.generation > 1] = NEVER
+        active = int(np.count_nonzero(res.generation != NEVER))
+        res.tau, res.active_count, res.contagious = 1, active, False
+        res.per_round_counts = res.per_round_counts[:1]
+        with pytest.raises(ValueError, match="before fixation"):
+            validate_result(g, res)
+
 
 @st.composite
 def graph_and_seeds(draw):
@@ -213,6 +234,39 @@ def graph_and_seeds(draw):
     seeds = rng.choice(n, size=k, replace=False).tolist()
     r = draw(st.sampled_from([2, 3]))
     return g, seeds, r
+
+
+@st.composite
+def graph_and_generation_map(draw):
+    """A graph and an arbitrary trace that is consistent with itself."""
+    g, _, r = draw(graph_and_seeds())
+    n = g.vertex_count
+    raw = np.array(draw(st.lists(st.integers(NEVER, 3), min_size=n, max_size=n)))
+    # relabel the rounds present as 1..tau so that no round is empty
+    rounds = np.unique(raw[raw >= 1])
+    gen = np.where(raw >= 1, np.searchsorted(rounds, raw) + 1, raw)
+    active = int(np.count_nonzero(gen != NEVER))
+    result = PercolationResult(
+        threshold=r,
+        seeds=frozenset(np.flatnonzero(gen == 0).tolist()),
+        generation=gen,
+        tau=int(rounds.size),
+        contagious=active == n,
+        active_count=active,
+        per_round_counts=tuple(int(np.count_nonzero(gen == k)) for k in range(1, rounds.size + 1)),
+    )
+    return g, result
+
+
+def rules_hold(graph, gen, r) -> bool:
+    """Loop reference: activation needs r earlier neighbors; fixation leaves none with r."""
+    for v, row in enumerate(graph.adjacency):
+        active = [u for u in row if gen[u] != NEVER]
+        if gen[v] >= 1 and sum(1 for u in active if gen[u] < gen[v]) < r:
+            return False
+        if gen[v] == NEVER and len(active) >= r:
+            return False
+    return True
 
 
 class TestProcessProperties:
@@ -239,6 +293,34 @@ class TestProcessProperties:
         g, seeds, r = case
         res = percolate(g, seeds, r)
         validate_result(g, res)
+
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_generation_map())
+    def test_validator_matches_loop_reference(self, case):
+        g, res = case
+        try:
+            validate_result(g, res)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == rules_hold(g, res.generation, res.threshold)
+
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_seeds())
+    def test_validator_rejects_truncated(self, case):
+        # Dropping the last round leaves its vertices with r active neighbors.
+        g, seeds, r = case
+        res = percolate(g, seeds, r)
+        if res.tau == 0:
+            return
+        res.generation[res.generation == res.tau] = NEVER
+        res.active_count -= res.per_round_counts[-1]
+        res.per_round_counts = res.per_round_counts[:-1]
+        res.tau -= 1
+        res.contagious = False
+        with pytest.raises(ValueError, match=f"by round {res.tau + 1}"):
+            validate_result(g, res)
 
     @PROPERTY_SETTINGS
     @given(case=graph_and_seeds())
