@@ -141,6 +141,8 @@ def _batch_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError("--config must hold a JSON object")
         unknown = set(values) - fields
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -148,7 +150,7 @@ def _batch_config(args) -> ExperimentConfig:
     if not values.get("n_list"):
         raise ValueError("provide --n or an n_list in --config")
     for name in ("n_list", "d_list", "p_list"):
-        if values.get(name) is not None:
+        if isinstance(values.get(name), list):
             values[name] = tuple(values[name])
     return ExperimentConfig(**values)
 

@@ -143,8 +143,9 @@ def construct_contagious(
     """Build a verified contagious set for ``graph`` under threshold params.r.
 
     The procedure is deterministic: block choices break ties toward lower
-    vertex ids.  The returned set is always re-verified contagious by the
-    engine before this function returns, and ``trace.result`` holds that run.
+    vertex ids.  The returned set is always verified contagious by the
+    engine before this function returns, and ``trace.result`` holds that run
+    (for the fallback, its last greedy run, which is contagious).
     """
     params = params or StageParams()
     n = graph.vertex_count
@@ -158,10 +159,8 @@ def construct_contagious(
 
     # An initial block of n or more vertices leaves the schedule nothing to grow.
     if d < params.d0_min or not 1 <= initial_target < n or not is_connected(graph):
-        seeds, trace = _fallback_construct(graph, r, d)
-    else:
-        seeds, trace = _staged_construct(graph, r, d, c_seed, initial_target)
-
+        return _fallback_construct(graph, r, d)
+    seeds, trace = _staged_construct(graph, r, d, c_seed, initial_target)
     check = percolate(graph, seeds, r)
     if not check.contagious:
         raise ConstructionError(
@@ -295,6 +294,7 @@ def _fallback_construct(graph, r, d):
         a02=sorted(additions),
         final_seeds=final,
         fallback_used=True,
+        result=result,
     )
     return frozenset(final), trace
 

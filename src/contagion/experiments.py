@@ -22,10 +22,11 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from typing import Callable
 
@@ -204,14 +205,24 @@ class ExperimentConfig:
     partial_d0: float = 10.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # annotations are strings: int, float, str or tuple[...], maybe "| None"
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            item = kind.removeprefix("tuple[").removesuffix(", ...]")
+            ok = _is_a(value, kind) if item == kind else (
+                isinstance(value, tuple) and all(_is_a(x, item) for x in value))
+            if not (ok or (value is None and optional)):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be nonempty with positive entries")
-        if int(self.r) != self.r or self.r < 2:
+        if self.r < 2:
             raise ValueError("r must be an integer >= 2")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.probe_trials < 1:
+            raise ValueError("probe_trials must be positive")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be csv or json")
         if self.jobs < 1:
@@ -226,6 +237,12 @@ class ExperimentConfig:
         data["d_list"] = list(self.d_list) if self.d_list is not None else None
         data["p_list"] = list(self.p_list) if self.p_list is not None else None
         return data
+
+
+def _is_a(value, kind: str) -> bool:
+    """Whether ``value`` is an ``int``, ``float`` or ``str``; a bool is not a number."""
+    types = {"int": numbers.Integral, "float": numbers.Real, "str": str}[kind]
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass

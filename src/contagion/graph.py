@@ -69,42 +69,38 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) pairs, validating as it goes.
-
-        Pairs may appear in either orientation; self-loops and duplicate
-        edges raise GraphFormatError.
-        """
+        """Build a graph from (u, v) pairs in either orientation; self-loops,
+        out-of-range ids and duplicates raise GraphFormatError naming the first."""
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        us: list[int] = []
-        vs: list[int] = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u}, {v}) out of range for {n} vertices")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            us.append(key[0])
-            vs.append(key[1])
-        return cls._from_pair_arrays(
-            n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
-        )
+        try:
+            pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
+        except OverflowError:
+            raise GraphFormatError(f"vertex id out of range for {n} vertices") from None
+        if pairs.shape[1:] != (2,):
+            raise GraphFormatError("expected (u, v) pairs")
+        return cls._from_pair_arrays(n, pairs.min(axis=1), pairs.max(axis=1))
 
     @classmethod
-    def _from_pair_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
-        # Trusted path: callers guarantee u < v, uniqueness, and range.
-        src = np.concatenate([us, vs])
-        dst = np.concatenate([vs, us])
-        deg = np.bincount(src, minlength=n)
+    def _from_pair_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray, lines=None) -> "Graph":
+        """The one build path: validate pairs u < v given in any order, then lay out CSR.
+
+        Row v holds its lower neighbours, from a value sort of the keys (v, u),
+        then its higher ones, from the sorted keys (u, v); a boolean slot mask
+        places both in order, so no argsort runs over the 2m arcs.
+        """
+        upper_keys, shift = _validated_keys(n, us, vs, lines)
+        lower_keys = (vs << shift) | us
+        lower_keys.sort()
+        up, down = np.bincount(us, minlength=n), np.bincount(vs, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        order = np.argsort(src * np.int64(n) + dst, kind="stable")
-        indices = dst[order].astype(np.int32)
+        np.cumsum(up + down, out=indptr[1:])
+        # per row: `down` lower-neighbour slots, then `up` higher-neighbour slots
+        upper_slot = np.repeat(np.tile([False, True], n), np.column_stack((down, up)).ravel())
+        low_bits = (1 << shift) - 1
+        indices = np.empty(2 * upper_keys.size, dtype=np.int32)
+        indices[upper_slot] = np.bitwise_and(upper_keys, low_bits, out=upper_keys)
+        indices[~upper_slot] = np.bitwise_and(lower_keys, low_bits, out=lower_keys)
         return cls(n, indptr, indices)
 
     @cached_property
@@ -171,6 +167,43 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
+def _validated_keys(n: int, us: np.ndarray, vs: np.ndarray, lines: np.ndarray | None = None):
+    """Validate pairs; return their keys ``(u << shift) | v`` in increasing order, and shift.
+
+    The first pair that is a self-loop, has an id outside ``[0, n)``, has u > v
+    or repeats an earlier pair raises GraphFormatError naming ``line {lines[i]}``,
+    or ``pair {i}`` without ``lines``.  Pairs in lexicographic order (the
+    sampler's) skip the sort; the strict-increase check also rules out repeats.
+    """
+    shift = max(int(n - 1).bit_length(), 1)  # bits of an id
+    bad = (us >= vs) | (us < 0) | (vs >= n)
+    stop = int(bad.argmax()) if bad.any() else us.size
+    if stop == us.size:
+        keys = (us << shift) | vs
+        if np.all(keys[1:] > keys[:-1]):
+            return keys, shift
+        keys.sort()
+        if np.all(keys[1:] > keys[:-1]):
+            return keys, shift
+    # Error path: a repeat among the valid pairs before `stop` comes first.
+    keys = (us[:stop] << shift) | vs[:stop]
+    repeat = np.ones(stop, dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    if repeat.any():
+        stop = int(repeat.argmax())
+    u, v = int(us[stop]), int(vs[stop])
+    where = f"line {lines[stop]}" if lines is not None else f"pair {stop}"
+    if u == v:
+        reason = f"self-loop at vertex {u}"
+    elif not (0 <= u < n and 0 <= v < n):
+        reason = f"edge ({u}, {v}) out of range for {n} vertices"
+    elif u > v:
+        reason = f"edge ({u}, {v}): endpoints must satisfy u < v"
+    else:
+        reason = f"duplicate edge ({u}, {v})"
+    raise GraphFormatError(f"{where}: {reason}")
+
+
 def gather_rows(graph: Graph, verts: np.ndarray) -> np.ndarray:
     """Concatenate the adjacency rows of ``verts`` without a Python loop."""
     indptr, indices = graph.indptr, graph.indices
@@ -222,9 +255,8 @@ def sample_gnp(params: GnpParams) -> Graph:
         linear = np.arange(npairs, dtype=np.int64)
     else:
         linear = _skip_sample(rng, npairs, p)
-    if linear.size == 0:
-        return Graph.empty(n)
     us, vs = _pairs_from_linear(n, linear)
+    del linear  # the build below is the memory peak
     return Graph._from_pair_arrays(n, us, vs)
 
 
@@ -236,25 +268,27 @@ def _skip_sample(rng: np.random.Generator, npairs: int, p: float) -> np.ndarray:
         remaining = npairs - cursor  # > 0
         expect = remaining * p
         size = int(expect + 8.0 * math.sqrt(expect + 1.0) + 16.0)
-        jumps = rng.geometric(p, size=size).astype(np.int64, copy=False)
-        positions = cursor + np.cumsum(jumps)
+        positions = rng.geometric(p, size=size).astype(np.int64, copy=False)
+        np.cumsum(positions, out=positions)
+        positions += cursor
         if positions[-1] >= npairs:
-            chunks.append(positions[positions < npairs])
+            chunks.append(positions[: np.searchsorted(positions, npairs)])
             break
         chunks.append(positions)
         cursor = int(positions[-1])
-    return np.concatenate(chunks)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _pairs_from_linear(n: int, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map lexicographic pair ranks to (u, v) with u < v.
+    """Map increasing lexicographic pair ranks to (u, v) with u < v.
 
     Rank 0 is (0, 1), rank n-2 is (0, n-1), rank n-1 is (1, 2), and so on.
     """
     u_range = np.arange(n, dtype=np.int64)
     row_starts = u_range * n - (u_range * (u_range + 1)) // 2
-    us = np.searchsorted(row_starts, linear, side="right") - 1
-    vs = linear - row_starts[us] + us + 1
+    row_sizes = np.diff(np.searchsorted(linear, row_starts), append=linear.size)
+    us = np.repeat(u_range, row_sizes)
+    vs = linear - np.repeat(row_starts - u_range - 1, row_sizes)
     return us, vs
 
 
@@ -271,26 +305,9 @@ def connected_components(
         members = np.arange(n, dtype=np.int64)
     else:
         members = as_vertex_array(restrict, n)
-    in_set = np.zeros(n, dtype=bool)
-    in_set[members] = True
-    seen = np.zeros(n, dtype=bool)
-    components: list[list[int]] = []
-    for start in members.tolist():
-        if seen[start]:
-            continue
-        seen[start] = True
-        waves = [np.array([start], dtype=np.int64)]
-        frontier = waves[0]
-        while frontier.size:
-            nbrs = gather_rows(graph, frontier)
-            nbrs = nbrs[in_set[nbrs] & ~seen[nbrs]]
-            if nbrs.size == 0:
-                break
-            frontier = np.unique(nbrs).astype(np.int64)
-            seen[frontier] = True
-            waves.append(frontier)
-        comp = np.sort(np.concatenate(waves))
-        components.append([int(v) for v in comp])
+    seen = np.ones(n, dtype=bool)  # vertices outside the restriction count as seen
+    seen[members] = False
+    components = [_reach(graph, v, seen).tolist() for v in members.tolist() if not seen[v]]
     components.sort(key=lambda c: (-len(c), c[0]))
     return components
 
@@ -298,21 +315,19 @@ def connected_components(
 def is_connected(graph: Graph) -> bool:
     """True when every vertex is reachable from vertex 0 (and n <= 1 trivially)."""
     n = graph.vertex_count
-    if n <= 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    count = 1
-    while frontier.size:
-        nbrs = gather_rows(graph, frontier)
-        nbrs = nbrs[~seen[nbrs]]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs).astype(np.int64)
+    return n <= 1 or _reach(graph, 0, np.zeros(n, dtype=bool)).size == n
+
+
+def _reach(graph: Graph, start: int, seen: np.ndarray) -> np.ndarray:
+    """Sorted vertices reachable from ``start`` through unseen vertices; marks them seen."""
+    seen[start] = True
+    waves = [np.array([start], dtype=np.int64)]
+    while waves[-1].size:
+        nbrs = gather_rows(graph, waves[-1])
+        frontier = np.unique(nbrs[~seen[nbrs]]).astype(np.int64)
         seen[frontier] = True
-        count += frontier.size
-    return count == n
+        waves.append(frontier)
+    return np.sort(np.concatenate(waves))
 
 
 def induced_edge_count(graph: Graph, subset: Iterable[int]) -> int:
@@ -327,65 +342,90 @@ def induced_edge_count(graph: Graph, subset: Iterable[int]) -> int:
 
 
 def load_edge_list(path) -> Graph:
-    """Read the plain edge-list format.
+    """Read the header ``n m`` and m lines ``u v`` (0-indexed, u < v, any order).
 
-    Line 1 is ``n m``; each of the following m lines is ``u v`` with
-    0-indexed endpoints and u < v.  Self-loops, duplicates, out-of-range
-    ids, and malformed lines raise GraphFormatError naming the line.
+    Ids are ASCII digits, fields are separated by spaces or tabs, lines end in
+    LF or CRLF and blank lines are skipped.  Any other byte, a self-loop, a
+    repeat, an id out of range or a wrong count raises GraphFormatError naming
+    the earliest faulty line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise GraphFormatError("line 1: expected header 'n m'")
-        try:
-            n, m = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("line 1: expected two integers 'n m'") from None
-        if n < 0 or m < 0:
-            raise GraphFormatError("line 1: n and m must be nonnegative")
-        us = np.empty(m, dtype=np.int64)
-        vs = np.empty(m, dtype=np.int64)
-        seen: set[int] = set()
-        count = 0
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            if count >= m:
-                raise GraphFormatError(f"line {lineno}: more than {m} edges")
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected 'u v'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: expected two integers") from None
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"line {lineno}: vertex id out of range")
-            if u > v:
-                raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
-            key = u * n + v
-            if key in seen:
-                raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
-            seen.add(key)
-            us[count] = u
-            vs[count] = v
-            count += 1
-        if count != m:
-            raise GraphFormatError(f"expected {m} edges, found {count}")
-    return Graph._from_pair_arrays(n, us, vs)
+        body = fh.read()
+    parts = header.split()
+    if len(parts) != 2:
+        raise GraphFormatError("line 1: expected header 'n m'")
+    if not all(part.isdigit() for part in parts):  # ASCII digits only, as in the body
+        raise GraphFormatError("line 1: expected two integers 'n m'")
+    n, m = int(parts[0]), int(parts[1])
+
+    buf = np.frombuffer(body, dtype=np.uint8)
+    is_nl = buf == ord("\n")
+    in_token = (buf != ord(" ")) & (buf != ord("\t")) & ~is_nl
+    cr = np.flatnonzero(buf[:-1] == ord("\r"))
+    in_token[cr[is_nl[cr + 1]]] = False  # the CR of a CRLF; a lone CR is a stray byte
+    stray = in_token & ((buf < ord("0")) | (buf > ord("9")))
+    starts = in_token.copy()
+    starts[1:] &= ~in_token[:-1]
+    # Token starts and line ends in file order: tokens per line are the gaps.
+    events = np.flatnonzero(starts | is_nl)
+    del in_token, starts
+    line_ends = np.flatnonzero(is_nl[events])
+    tokens = np.diff(line_ends, prepend=-1, append=events.size) - 1
+    edge_lines = np.flatnonzero(tokens)  # 0-based body lines holding an edge
+
+    # First structural fault: edge line m+1, a line not of two fields, a stray byte.
+    faults = [*edge_lines[m : m + 1], *edge_lines[tokens[edge_lines] != 2][:1]]
+    if stray.any():
+        faults.append(np.count_nonzero(is_nl[: stray.argmax()]))
+    count = edge_lines.size
+    fault = None if count == m else f"expected {m} edges, found {count}"
+    if faults:
+        line = int(min(faults))
+        count = int(np.searchsorted(edge_lines, line))
+        fault = f"line {line + 2}: " + (
+            f"more than {m} edges"
+            if count == m
+            else "expected 'u v'" if tokens[line] != 2 else "expected two integers"
+        )
+        body = body[: int(events[line_ends[line - 1]]) + 1] if line else b""
+
+    values = np.fromstring(body, dtype=np.int64, sep=" ") if count else np.empty(0, np.int64)
+    us, vs = values[0::2], values[1::2]
+    lines = edge_lines[:count] + 2
+    if fault is None:
+        return Graph._from_pair_arrays(n, us, vs, lines)
+    _validated_keys(n, us, vs, lines)  # a bad edge on an earlier line is reported first
+    raise GraphFormatError(fault)
+
+
+# Edges formatted per call of _format_pairs; bounds its scratch memory.
+_FORMAT_CHUNK = 1 << 20
 
 
 def save_edge_list(graph: Graph, path) -> None:
-    """Write the format ``load_edge_list`` reads, edges in lexicographic order."""
-    n = graph.vertex_count
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    dst = graph.indices.astype(np.int64)
-    keep = src < dst
-    pairs = np.stack([src[keep], dst[keep]], axis=1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{n} {graph.edge_count}\n")
-        np.savetxt(fh, pairs, fmt="%d")
+    """Write the format ``load_edge_list`` reads: the header, then the edges
+    in lexicographic order as ``np.savetxt(fh, pairs, fmt="%d")`` writes them."""
+    rows = np.repeat(np.arange(graph.vertex_count, dtype=graph.indices.dtype), graph.degrees)
+    upper = rows < graph.indices
+    pairs = np.column_stack((rows[upper], graph.indices[upper]))
+    with open(path, "wb") as fh:
+        fh.write(f"{graph.vertex_count} {graph.edge_count}\n".encode())
+        for at in range(0, len(pairs), _FORMAT_CHUNK):
+            fh.write(_format_pairs(pairs[at : at + _FORMAT_CHUNK]))
+
+
+def _format_pairs(pairs: np.ndarray) -> bytes:
+    """Lines ``"u v\\n"``: each id is a right-aligned field as wide as the widest id
+    plus its separator, and the unused leading cells are dropped when flattening."""
+    width = len(str(int(pairs.max())))
+    chars = np.empty((len(pairs), 2, width + 1), dtype=np.uint8)
+    chars[:, :, width] = (ord(" "), ord("\n"))
+    keep = np.ones(chars.shape, dtype=bool)
+    for place in range(width):
+        higher = pairs // 10
+        chars[:, :, width - 1 - place] = pairs - 10 * higher + ord("0")
+        if place:
+            keep[:, :, width - 1 - place] = pairs > 0
+        pairs = higher
+    return chars[keep].tobytes()

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from contagion import Graph
+from contagion import Graph, GraphFormatError
 
 
 def adjacency_sets(edges, n):
@@ -83,6 +83,83 @@ def naive_min_contagious(adj, r, n):
             if len(gen) == n:
                 return k, set(cand)
     raise AssertionError("unreachable: V itself is contagious")
+
+
+def reference_csr(n, us, vs):
+    """CSR of the pairs u < v by one stable argsort of all 2m arcs by (row, neighbour)."""
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    src = np.concatenate([us, vs])
+    dst = np.concatenate([vs, us])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    order = np.argsort(src * np.int64(n) + dst, kind="stable")
+    return Graph(n, indptr, dst[order].astype(np.int32))
+
+
+def reference_from_edges(n, edges):
+    """Per-pair loop with a seen set; the first bad pair raises, named by its index."""
+    if n < 0:
+        raise GraphFormatError("vertex count must be nonnegative")
+    seen = set()
+    us, vs = [], []
+    for i, (u, v) in enumerate(edges):
+        u, v = int(u), int(v)
+        if u == v:
+            raise GraphFormatError(f"pair {i}: self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"pair {i}: edge ({u}, {v}) out of range for {n} vertices")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"pair {i}: duplicate edge ({key[0]}, {key[1]})")
+        seen.add(key)
+        us.append(key[0])
+        vs.append(key[1])
+    return reference_csr(n, us, vs)
+
+
+def reference_load_edge_list(path):
+    """Per-line reader: text mode, str.split and int(), the first bad line raises."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        parts = header.split()
+        if len(parts) != 2:
+            raise GraphFormatError("line 1: expected header 'n m'")
+        try:
+            n, m = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError("line 1: expected two integers 'n m'") from None
+        if n < 0 or m < 0:
+            raise GraphFormatError("line 1: n and m must be nonnegative")
+        us, vs = [], []
+        seen = set()
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            if len(us) >= m:
+                raise GraphFormatError(f"line {lineno}: more than {m} edges")
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected 'u v'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: expected two integers") from None
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop at {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"line {lineno}: vertex id out of range")
+            if u > v:
+                raise GraphFormatError(f"line {lineno}: endpoints must satisfy u < v")
+            if (u, v) in seen:
+                raise GraphFormatError(f"line {lineno}: duplicate edge {u} {v}")
+            seen.add((u, v))
+            us.append(u)
+            vs.append(v)
+        if len(us) != m:
+            raise GraphFormatError(f"expected {m} edges, found {len(us)}")
+    return reference_csr(n, us, vs)
 
 
 PETERSEN_EDGES = (

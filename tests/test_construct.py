@@ -22,6 +22,7 @@ from contagion import (
     search_minimal_tuple,
 )
 
+from contagion import construct as construct_module
 from conftest import complete_graph
 
 PROPERTY_SETTINGS = settings(
@@ -151,6 +152,24 @@ class TestConstructor:
         seeds, trace = construct_contagious(g, StageParams(r=3))
         assert trace.fallback_used
         assert_contagious(g, seeds, 3)
+
+    def test_fallback_keeps_its_last_greedy_run(self, monkeypatch):
+        g = sample_gnp(GnpParams(500, 2.0 / 500, 4))
+        runs = []
+
+        def counting_percolate(*args):
+            runs.append(percolate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(construct_module, "percolate", counting_percolate)
+        seeds, trace = construct_contagious(g)
+        assert trace.fallback_used
+        # one run from the mandatory seeds, one per greedy pick, no repeat
+        assert len(runs) == 1 + len(trace.a02)
+        assert trace.result is runs[-1]
+        again = percolate(g, seeds, 2)
+        assert trace.result.contagious and trace.result.seeds == seeds
+        assert np.array_equal(trace.result.generation, again.generation)
 
     def test_trace_keeps_verifying_run(self):
         g = sample_gnp(GnpParams(3000, 30.0 / 3000, 4))

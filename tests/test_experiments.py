@@ -214,6 +214,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(mode="sweep", n_list=(10,), d_list=(5.0,), fmt="xml")
 
+    def test_rejects_zero_probe_trials(self):
+        with pytest.raises(ValueError, match="probe_trials"):
+            ExperimentConfig(mode="threshold", n_list=(300,), probe_trials=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("trials", None), ("n_list", ("100",)), ("r", 2.5), ("jobs", True), ("c1", "0.1")],
+    )
+    def test_wrong_type_names_its_field(self, field, value):
+        values = {"mode": "sweep", "n_list": (10,), "d_list": (5.0,), field: value}
+        with pytest.raises(ValueError, match=repr(field)):
+            ExperimentConfig(**values)
+
 
 class TestCli:
     def test_generate_and_percolate(self, tmp_path, capsys):
@@ -281,6 +294,19 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_list": [100], "bogus": 1}))
         assert main(["sweep", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "field,value", [("trials", None), ("n_list", ["100"]), ("n_list", 100)]
+    )
+    def test_config_wrong_type_exits_1(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_list": [100], "d_list": [5.0], field: value}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_zero_probe_trials_exits_1(self, capsys):
+        assert main(["threshold", "--n", "300", "--probe-trials", "0"]) == 1
+        assert "probe_trials" in capsys.readouterr().err
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

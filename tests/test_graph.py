@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +25,16 @@ from contagion import (
     save_edge_list,
 )
 
-from conftest import adjacency_sets, naive_components, naive_induced_edges, random_graph_edges
+from contagion import graph as graph_module
+from conftest import (
+    adjacency_sets,
+    naive_components,
+    naive_induced_edges,
+    random_graph_edges,
+    reference_csr,
+    reference_from_edges,
+    reference_load_edge_list,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -69,6 +81,13 @@ class TestGraphBasics:
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(GraphFormatError):
             Graph.from_edges(3, [(0, 3)])
+        with pytest.raises(GraphFormatError, match="range"):
+            Graph.from_edges(3, [(0, 2**70)])
+
+    def test_from_edges_rejects_other_shapes(self):
+        for edges in ([(0, 1, 2), (1, 2, 0)], [0, 1]):
+            with pytest.raises(GraphFormatError, match="pairs"):
+                Graph.from_edges(3, edges)
 
     def test_from_edges_rejects_duplicates(self):
         with pytest.raises(GraphFormatError):
@@ -140,6 +159,28 @@ class TestSampler:
         freq = counts[iu] / reps
         # binomial sd at p=.5, reps=1000 is ~.0158; 0.06 is nearly 4 sigma
         assert float(np.max(np.abs(freq - p))) < 0.06
+
+    # blake2b (16-byte) digests of int64 indptr then int32 indices, computed
+    # with the earlier argsort CSR build: the sampler's graphs must not change.
+    @pytest.mark.parametrize(
+        "n,p,seed,digest",
+        [
+            (0, 0.5, 1, "c804ce198ec337e3dc762bdd1a09aece"),
+            (2, 1.0, 0, "ccb7786a9892c901c7aff5c6b1f0115e"),
+            (60, 1.0, 0, "5744012425e586d05703dbdb70d69566"),
+            (300, 0.05, 42, "49bcb3b7f3d749bc61866d43d8bae1dc"),
+            (1000, 0.5, 3, "39540f47854e21df18218d55ed308a22"),
+            (5000, 0.002, 9, "117317290833c8a8e687f05261de27a4"),
+            (20000, 0.001, 11, "c563cdad4bb98099e8e07f65534a7f59"),
+        ],
+    )
+    def test_graphs_are_pinned(self, n, p, seed, digest):
+        g = sample_gnp(GnpParams(n, p, seed))
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int32
+        h = hashlib.blake2b(digest_size=16)
+        h.update(g.indptr.tobytes())
+        h.update(g.indices.tobytes())
+        assert h.hexdigest() == digest
 
     def test_validates_params(self):
         with pytest.raises(ValueError):
@@ -234,6 +275,8 @@ class TestEdgeListIO:
         [
             ("", "header"),
             ("3\n", "header"),
+            ("-3 1\n", "line 1: expected two integers"),
+            ("3 1_0\n", "line 1: expected two integers"),
             ("3 1\n0 0\n", "self-loop"),
             ("3 1\n1 0\n", "u < v"),
             ("3 1\n0 5\n", "range"),
@@ -241,6 +284,15 @@ class TestEdgeListIO:
             ("3 2\n0 1\n", "expected 2 edges"),
             ("3 1\n0 1\n0 2\n", "more than 1 edges"),
             ("3 1\nx y\n", "line 2"),
+            ("3 1\n0 +1\n", "line 2: expected two integers"),
+            ("3 1\n0 1\x0b\n", "line 2: expected two integers"),
+            ("3 1\n0 1\r", "line 2"),
+            ("3 1\n0 1\r2\n", "line 2: expected two integers"),
+            ("3 1\n0 1\n0 1 2\n", "line 3: more than 1 edges"),
+            ("3 1\n\n0 99999999999999999999999\n", "out of range for 3 vertices"),
+            ("3 2\n0 1\n0 1 2\n1 1\n", "line 3: expected 'u v'"),
+            ("3 2\n0 2\n0 2\n0 1 2\n", "line 3: duplicate"),
+            ("3 1\n\xff\n", "line 2"),
         ],
     )
     def test_rejects_malformed(self, tmp_path, text, fragment):
@@ -255,6 +307,178 @@ class TestEdgeListIO:
         path.write_text("3 1\n\n0 1\n\n")
         g = load_edge_list(path)
         assert list(g.edges()) == [(0, 1)]
+
+    def test_any_order_tabs_and_crlf(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"4 3\r\n2\t3\r\n \t\r\n0 3 \r\n0\t 1")
+        assert load_edge_list(path) == Graph.from_edges(4, [(0, 1), (0, 3), (2, 3)])
+
+    @pytest.mark.parametrize("n", [1, 10, 11, 101, 1001])
+    def test_bytes_match_savetxt(self, tmp_path, n):
+        # a path through every id plus random chords: ids cross each digit width
+        rng = np.random.default_rng(n)
+        edges = {(i, i + 1) for i in range(n - 1)}
+        edges |= {(min(u, v), max(u, v)) for u, v in rng.integers(0, n, (3 * n, 2)) if u != v}
+        g = Graph.from_edges(n, sorted(edges))
+        assert save_text(g, tmp_path) == savetxt_text(g)
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_bytes_match_savetxt_empty(self, tmp_path, n):
+        assert save_text(Graph.empty(n), tmp_path) == savetxt_text(Graph.empty(n))
+
+    def test_bytes_match_savetxt_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_module, "_FORMAT_CHUNK", 7)
+        g = sample_gnp(GnpParams(150, 0.05, 8))
+        assert save_text(g, tmp_path) == savetxt_text(g)
+
+
+def save_text(graph, tmp_path):
+    path = tmp_path / "g.txt"
+    save_edge_list(graph, path)
+    return path.read_bytes()
+
+
+def savetxt_text(graph):
+    """The earlier writer: a header, then np.savetxt of the lexicographic pairs."""
+    buf = io.BytesIO()
+    buf.write(f"{graph.vertex_count} {graph.edge_count}\n".encode())
+    np.savetxt(buf, np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2), fmt="%d")
+    return buf.getvalue()
+
+
+# Fault kinds injected into otherwise valid edge-list files.
+FILE_FAULTS = [
+    "self-loop",
+    "swapped",
+    "duplicate",
+    "out-of-range",
+    "missing edge",
+    "extra edge",
+    "one token",
+    "three tokens",
+    "stray byte",
+]
+# Message fragments, most specific first; the fault kind of a message is the first it holds.
+FRAGMENTS = (
+    "self-loop",
+    "range",
+    "u < v",
+    "duplicate",
+    "more than",
+    "expected 'u v'",
+    "expected two integers",
+    "edges",
+)
+
+
+def fault_of(message, where="line"):
+    """(location, kind) of a GraphFormatError message."""
+    located = re.match(rf"{where} (\d+):", message)
+    kind = next(fragment for fragment in FRAGMENTS if fragment in message)
+    return (int(located.group(1)) if located else None), kind
+
+
+@st.composite
+def edge_files(draw, fault=None):
+    """(n, edges, file bytes): shuffled edges, spaces and tabs, blank lines, LF or CRLF.
+
+    With ``fault`` set, the file holds exactly one fault of that kind.
+    """
+    n = draw(st.integers(min_value=2 if fault else 0, max_value=25))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(pairs), unique=True, min_size=1 if fault else 0, max_size=40)
+        if pairs
+        else st.just([])
+    )
+    rows = [[str(u), str(v)] for u, v in edges]
+    m = len(rows)
+    i = draw(st.integers(min_value=0, max_value=max(len(rows) - 1, 0)))
+    if fault == "self-loop":
+        rows[i][1] = rows[i][0]
+    elif fault == "swapped":
+        rows[i].reverse()
+    elif fault == "duplicate":
+        rows.insert(i + 1, list(rows[draw(st.integers(min_value=0, max_value=i))]))
+        m += 1
+    elif fault == "out-of-range":
+        rows[i][1] = str(n + draw(st.integers(min_value=0, max_value=5)))
+    elif fault == "missing edge":
+        m += 1
+    elif fault == "extra edge":
+        m -= 1
+    elif fault == "one token":
+        del rows[i][1]
+    elif fault == "three tokens":
+        rows[i].append(rows[i][0])
+    elif fault == "stray byte":
+        k = draw(st.integers(min_value=0, max_value=1))
+        token = rows[i][k]
+        at = draw(st.integers(min_value=0, max_value=len(token) - 1))
+        rows[i][k] = token[:at] + draw(st.sampled_from("x.,;#:")) + token[at + 1 :]
+    space = st.text(alphabet=" \t", max_size=2)
+    gap = st.text(alphabet=" \t", min_size=1, max_size=3)
+    lines = [draw(space) + draw(gap).join(row) + draw(space) for row in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(space))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([f"{n} {m}"] + lines) + (eol if draw(st.booleans()) else "")
+    return n, edges, text.encode()
+
+
+class TestBuildAgainstReferences:
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_csr_matches_argsort_build(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=30))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        if data.draw(st.booleans()):
+            edges.sort()  # the sampler's lexicographic order
+        us = np.array([u for u, _ in edges], dtype=np.int64)
+        vs = np.array([v for _, v in edges], dtype=np.int64)
+        g = Graph._from_pair_arrays(n, us, vs)
+        assert g == reference_csr(n, us, vs)
+        assert g.indices.dtype == np.int32
+        g.validate()
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_from_edges_matches_reference(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        ids = st.integers(min_value=-1, max_value=n)
+        edges = data.draw(st.lists(st.tuples(ids, ids), max_size=30))
+        try:
+            want = reference_from_edges(n, edges)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                Graph.from_edges(n, edges)
+            assert fault_of(str(got.value), "pair") == fault_of(str(exc), "pair")
+        else:
+            assert Graph.from_edges(n, edges) == want
+
+    @PROPERTY_SETTINGS
+    @given(case=edge_files())
+    def test_load_matches_reference(self, case, tmp_path_factory):
+        n, edges, text = case
+        path = tmp_path_factory.mktemp("io") / "g.txt"
+        path.write_bytes(text)
+        g = load_edge_list(path)
+        assert g == reference_load_edge_list(path)
+        assert g == reference_from_edges(n, edges)
+
+    @pytest.mark.parametrize("fault", FILE_FAULTS)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_fault_named_like_reference(self, fault, data, tmp_path_factory):
+        _, _, text = data.draw(edge_files(fault))
+        path = tmp_path_factory.mktemp("io") / "bad.txt"
+        path.write_bytes(text)
+        with pytest.raises(GraphFormatError) as want:
+            reference_load_edge_list(path)
+        with pytest.raises(GraphFormatError) as got:
+            load_edge_list(path)
+        assert fault_of(str(got.value)) == fault_of(str(want.value))
 
 
 @st.composite
