@@ -1,9 +1,10 @@
 """Bootstrap-style activation processes on sparse random graphs.
 
-Core objects: :class:`Graph` (immutable CSR adjacency), the activation
-engine (:func:`percolate`), a staged greedy constructor for small
-contagious sets (:func:`construct_contagious`), an exact branch-and-bound
-solver (:func:`min_contagious_exact`), analytic quantities
+Core objects: :class:`Graph` (immutable CSR adjacency), the resumable
+activation engine (:class:`Percolator`, run once by :func:`percolate`), a
+staged greedy constructor for small contagious sets
+(:func:`construct_contagious`), an exact branch-and-bound solver
+(:func:`min_contagious_exact`), analytic quantities
 (:func:`critical_random_seed_size`, :func:`density_witness`), and a
 reproducible experiment harness (:func:`run_experiment`).
 """
@@ -55,6 +56,7 @@ from .graph import (
 from .percolation import (
     NEVER,
     PercolationResult,
+    Percolator,
     mandatory_seeds,
     percolate,
     validate_result,
@@ -80,6 +82,7 @@ __all__ = [
     "MODES",
     "NEVER",
     "PercolationResult",
+    "Percolator",
     "StageParams",
     "TupleSearchParams",
     "connected_components",

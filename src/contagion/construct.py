@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, connected_components, gather_rows, is_connected
-from .percolation import NEVER, PercolationResult, mandatory_seeds, percolate
+from .percolation import NEVER, PercolationResult, Percolator, mandatory_seeds, percolate
 
 __all__ = [
     "StageParams",
@@ -144,8 +144,8 @@ def construct_contagious(
 
     The procedure is deterministic: block choices break ties toward lower
     vertex ids.  The returned set is always verified contagious by the
-    engine before this function returns, and ``trace.result`` holds that run
-    (for the fallback, its last greedy run, which is contagious).
+    engine before this function returns, and ``trace.result`` holds that
+    run: a fresh ``percolate`` of the final set on either path.
     """
     params = params or StageParams()
     n = graph.vertex_count
@@ -159,8 +159,9 @@ def construct_contagious(
 
     # An initial block of n or more vertices leaves the schedule nothing to grow.
     if d < params.d0_min or not 1 <= initial_target < n or not is_connected(graph):
-        return _fallback_construct(graph, r, d)
-    seeds, trace = _staged_construct(graph, r, d, c_seed, initial_target)
+        seeds, trace = _fallback_construct(graph, r, d)
+    else:
+        seeds, trace = _staged_construct(graph, r, d, c_seed, initial_target)
     check = percolate(graph, seeds, r)
     if not check.contagious:
         raise ConstructionError(
@@ -271,30 +272,32 @@ def _staged_construct(graph, r, d, c_seed, initial_target):
 
 
 def _fallback_construct(graph, r, d):
-    """Mandatory seeds plus greedy max-degree completion; always succeeds."""
-    n = graph.vertex_count
+    """Mandatory seeds plus greedy max-degree completion; always succeeds.
+
+    Each pick, the inactive vertex of highest degree (ties to the lowest id),
+    joins one running ``Percolator``.  Active vertices never deactivate, so
+    one pointer into the order by (-degree, id) finds every pick: after the
+    sort, the completion costs O(n + m) in all.
+    """
     base = sorted(mandatory_seeds(graph, r))
-    seeds = set(base)
+    state = Percolator(graph, r).add_seeds(base)
+    order = np.argsort(-graph.degrees, kind="stable").tolist()
     additions: list[int] = []
-    result = percolate(graph, seeds, r)
-    while not result.contagious:
-        inactive = np.flatnonzero(result.generation == NEVER)
-        # argmax returns the first maximum, so ties go to the lowest id
-        pick = int(inactive[np.argmax(graph.degrees[inactive])])
-        seeds.add(pick)
-        additions.append(pick)
-        result = percolate(graph, seeds, r)
-    final = sorted(seeds)
+    pos = 0
+    while not state.contagious:
+        while state.is_active(order[pos]):
+            pos += 1
+        additions.append(order[pos])
+        state.add_seeds(additions[-1:])
+    final = sorted(base + additions)
     trace = ConstructionTrace(
         ell=0,
         d=d,
         initial_block=[],
-        iterations=[],
         a01=base,
         a02=sorted(additions),
         final_seeds=final,
         fallback_used=True,
-        result=result,
     )
     return frozenset(final), trace
 

@@ -2,11 +2,14 @@
 
 Meant for small instances (tens of vertices).  Degree-deficient vertices
 can never be activated, so every candidate set is forced to contain them;
-enumeration then deepens over how many free vertices are added.  Two sound
-prunes keep the tree small: a vertex already inside the running closure is
-never added (a smaller witness would have been found at an earlier depth),
-and subtrees whose (depth, closure) signature was already explored from a
-smaller candidate pool are skipped.
+enumeration then deepens over how many free vertices are added.  Each
+search node's closure extends its parent's: the child is a copy of the
+parent's ``Percolator`` state with one more seed, so a node pays only for
+the vertices its seed activates.  Two sound prunes keep the tree small: a
+vertex already inside the running closure is never added (a smaller witness
+would have been found at an earlier depth), and subtrees whose (depth,
+closure) signature was already explored from a smaller candidate pool are
+skipped; the signature holds the closure as an int bitmask.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .percolation import mandatory_seeds, percolate
+from .percolation import Percolator, mandatory_seeds, percolate
 
 __all__ = ["ExactResult", "min_contagious_exact", "DEFAULT_NODE_BUDGET"]
 
@@ -66,15 +69,15 @@ def min_contagious_exact(
     mandatory = sorted(mandatory_seeds(graph, r))
     tests = 0
 
-    def closure_of(seed_set) -> frozenset[int]:
+    def extend(closure: Percolator, seeds) -> Percolator:
         nonlocal tests
         if tests >= node_budget:
             raise _BudgetExceeded
         tests += 1
-        return percolate(graph, seed_set, r).active
+        return closure.copy().add_seeds(seeds)
 
-    base = closure_of(mandatory)
-    if len(base) == n:
+    base = extend(Percolator(graph, r), mandatory)
+    if base.contagious:
         return ExactResult(len(mandatory), frozenset(mandatory), tests, "exact")
 
     mand_set = set(mandatory)
@@ -82,15 +85,15 @@ def min_contagious_exact(
 
     for extra in range(1, len(free) + 1):
         size = len(mandatory) + extra
-        memo: dict[tuple[int, frozenset[int]], int] = {}
+        memo: dict[tuple[int, int], int] = {}
 
-        def dfs(start: int, closure: frozenset[int], slots: int, chosen: list[int]):
+        def dfs(start: int, closure: Percolator, slots: int, chosen: list[int]):
             for idx in range(start, len(free) - slots + 1):
                 v = free[idx]
-                if v in closure:
+                if closure.is_active(v):
                     continue  # adding it changes nothing; smaller depths failed
-                new_closure = closure_of(closure | {v})
-                if len(new_closure) == n:
+                child = extend(closure, [v])
+                if child.contagious:
                     if slots != 1:
                         raise SolverInternalError(
                             "full closure reached above the current depth"
@@ -98,12 +101,12 @@ def min_contagious_exact(
                     return chosen + [v]
                 if slots == 1:
                     continue
-                key = (slots - 1, new_closure)
+                key = (slots - 1, child.active_mask)
                 prev = memo.get(key)
                 if prev is not None and prev <= idx:
                     continue
                 memo[key] = idx
-                found = dfs(idx + 1, new_closure, slots - 1, chosen + [v])
+                found = dfs(idx + 1, child, slots - 1, chosen + [v])
                 if found is not None:
                     return found
             return None

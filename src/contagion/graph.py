@@ -191,17 +191,19 @@ def _validated_keys(n: int, us: np.ndarray, vs: np.ndarray, lines: np.ndarray | 
     repeat[np.unique(keys, return_index=True)[1]] = False
     if repeat.any():
         stop = int(repeat.argmax())
-    u, v = int(us[stop]), int(vs[stop])
     where = f"line {lines[stop]}" if lines is not None else f"pair {stop}"
+    raise GraphFormatError(f"{where}: {_pair_fault(int(us[stop]), int(vs[stop]), n)}")
+
+
+def _pair_fault(u: int, v: int, n: int) -> str:
+    """Why the pair (u, v) is rejected, if it is not a repeat."""
     if u == v:
-        reason = f"self-loop at vertex {u}"
-    elif not (0 <= u < n and 0 <= v < n):
-        reason = f"edge ({u}, {v}) out of range for {n} vertices"
-    elif u > v:
-        reason = f"edge ({u}, {v}): endpoints must satisfy u < v"
-    else:
-        reason = f"duplicate edge ({u}, {v})"
-    raise GraphFormatError(f"{where}: {reason}")
+        return f"self-loop at vertex {u}"
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u}, {v}) out of range for {n} vertices"
+    if u > v:
+        return f"edge ({u}, {v}): endpoints must satisfy u < v"
+    return f"duplicate edge ({u}, {v})"
 
 
 def gather_rows(graph: Graph, verts: np.ndarray) -> np.ndarray:
@@ -393,6 +395,15 @@ def load_edge_list(path) -> Graph:
     values = np.fromstring(body, dtype=np.int64, sep=" ") if count else np.empty(0, np.int64)
     us, vs = values[0::2], values[1::2]
     lines = edge_lines[:count] + 2
+    # np.fromstring saturates an id too large for int64; name such a pair by its text.
+    wide = np.flatnonzero(values == np.iinfo(np.int64).max)
+    if wide.size:
+        i = int(wide[0]) // 2
+        line = int(edge_lines[i])
+        _validated_keys(n, us[:i], vs[:i], lines[:i])  # a bad edge on an earlier line is reported first
+        start = int(events[line_ends[line - 1]]) + 1 if line else 0
+        u, v = (int(t) for t in body[start:].split(maxsplit=2)[:2])
+        raise GraphFormatError(f"line {line + 2}: {_pair_fault(u, v, n)}")
     if fault is None:
         return Graph._from_pair_arrays(n, us, vs, lines)
     _validated_keys(n, us, vs, lines)  # a bad edge on an earlier line is reported first

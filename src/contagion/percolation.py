@@ -2,8 +2,11 @@
 
 A vertex activates in round g when at least r of its neighbors were active
 after round g - 1; seeds are active in round 0 and nothing ever deactivates.
-The engine keeps a per-vertex count of active neighbors and only ever touches
-the frontier's adjacency rows, so a full run costs O(n + m).
+The one engine, ``Percolator``, keeps a per-vertex count of active neighbors
+and only ever touches the frontier's adjacency rows, so a full run costs
+O(n + m).  It can resume: seeds added to a state at fixation spread from
+there, so a caller that grows a seed set one vertex at a time pays for the
+new activations only.  ``percolate`` runs a fresh state once.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ import numpy as np
 
 from .graph import Graph, as_vertex_array, gather_rows
 
-__all__ = ["NEVER", "PercolationResult", "percolate", "mandatory_seeds", "validate_result"]
+__all__ = ["NEVER", "PercolationResult", "Percolator", "percolate", "mandatory_seeds", "validate_result"]
 
 # Generation value for vertices the process never reaches; JSON uses null.
 NEVER = -1
 
-# Below this many vertices the plain-Python engine beats numpy call overhead,
+# Up to this many vertices the plain-Python path beats numpy call overhead,
 # which matters for the exact solver's thousands of closure computations.
 _SMALL_N = 512
 
@@ -64,78 +67,137 @@ def percolate(graph: Graph, seeds: Iterable[int], r: int) -> PercolationResult:
     Raises ValueError for r < 2 or out-of-range seed ids.  The result is a
     pure function of (graph, seeds, r).
     """
-    if int(r) != r or r < 2:
-        raise ValueError("activation threshold r must be an integer >= 2")
-    r = int(r)
-    n = graph.vertex_count
-    seed_arr = as_vertex_array(seeds, n, what="seed")
-    if n <= _SMALL_N:
-        generation, per_round = _percolate_python(graph, seed_arr, r)
-    else:
-        generation, per_round = _percolate_numpy(graph, seed_arr, r)
-    active_count = int(seed_arr.size + sum(per_round))
-    return PercolationResult(
-        threshold=r,
-        seeds=frozenset(seed_arr.tolist()),
-        generation=generation,
-        tau=len(per_round),
-        contagious=active_count == n,
-        active_count=active_count,
-        per_round_counts=tuple(per_round),
-    )
+    return Percolator(graph, r).add_seeds(seeds).result()
 
 
-def _percolate_numpy(graph: Graph, seed_arr: np.ndarray, r: int):
-    n = graph.vertex_count
-    generation = np.full(n, NEVER, dtype=np.int64)
-    generation[seed_arr] = 0
-    hits = np.zeros(n, dtype=np.int64)
-    frontier = seed_arr
-    per_round: list[int] = []
-    g = 0
-    while frontier.size:
-        nbrs = gather_rows(graph, frontier)
-        if nbrs.size == 0:
-            break
-        cand, counts = np.unique(nbrs, return_counts=True)
-        hits[cand] += counts
-        newly = cand[(hits[cand] >= r) & (generation[cand] == NEVER)]
-        if newly.size == 0:
-            break
-        g += 1
-        generation[newly] = g
-        per_round.append(int(newly.size))
-        frontier = newly.astype(np.int64)
-    return generation, per_round
+class Percolator:
+    """Resumable state of the process on one graph.
 
+    ``add_seeds(vs)`` seeds the inactive ids among ``vs`` (repeated or active
+    ids are no-ops) and runs on to fixation; ``copy()`` gives an independent
+    child state.  Rounds are numbered on across batches, so the active set is
+    the closure of all seeds so far and ``result()`` passes
+    ``validate_result``, but a fresh ``percolate`` of the union numbers the
+    generations differently.  Above ``_SMALL_N`` vertices the generation map
+    and the active-neighbour counts ``hits`` are numpy arrays; otherwise they
+    are lists, with an int bitmask of the active set beside them.
+    """
 
-def _percolate_python(graph: Graph, seed_arr: np.ndarray, r: int):
-    n = graph.vertex_count
-    adjacency = graph.adjacency
-    generation = [NEVER] * n
-    hits = [0] * n
-    frontier = seed_arr.tolist()
-    for s in frontier:
-        generation[s] = 0
-    per_round: list[int] = []
-    g = 0
-    while frontier:
-        newly: list[int] = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if generation[w] == NEVER:
-                    h = hits[w] + 1
-                    hits[w] = h
-                    if h == r:  # crossing happens exactly once per vertex
-                        newly.append(w)
-        if not newly:
-            break
-        g += 1
-        for w in newly:
-            generation[w] = g
-        per_round.append(len(newly))
-        frontier = newly
-    return np.asarray(generation, dtype=np.int64), per_round
+    __slots__ = ("graph", "r", "active_count", "_small", "_generation", "_hits", "_seeds",
+                 "_per_round", "_mask")
+
+    def __init__(self, graph: Graph, r: int):
+        if int(r) != r or r < 2:
+            raise ValueError("activation threshold r must be an integer >= 2")
+        n = graph.vertex_count
+        self.graph, self.r, self.active_count = graph, int(r), 0
+        self._small = n <= _SMALL_N
+        if self._small:
+            self._generation, self._hits = [NEVER] * n, [0] * n
+        else:
+            self._generation, self._hits = np.full(n, NEVER, np.int64), np.zeros(n, np.int64)
+        self._seeds: list[int] = []
+        self._per_round: list[int] = []
+        self._mask = 0
+
+    @property
+    def contagious(self) -> bool:
+        return self.active_count == self.graph.vertex_count
+
+    @property
+    def active_mask(self) -> int:
+        """The active set as an int with bit v set for each active v."""
+        if self._small:
+            return self._mask
+        bits = np.packbits(self._generation != NEVER, bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little")
+
+    def is_active(self, v: int) -> bool:
+        return self._generation[v] != NEVER
+
+    def copy(self) -> "Percolator":
+        child = object.__new__(Percolator)
+        child.graph, child.r, child.active_count = self.graph, self.r, self.active_count
+        child._small, child._mask = self._small, self._mask
+        child._generation, child._hits = self._generation.copy(), self._hits.copy()
+        child._seeds, child._per_round = self._seeds.copy(), self._per_round.copy()
+        return child
+
+    def add_seeds(self, vs: Iterable[int]) -> "Percolator":
+        """Seed the inactive ids among ``vs`` and run to fixation; returns self."""
+        generation, n = self._generation, self.graph.vertex_count
+        if self._small:
+            # as_vertex_array's check without its numpy cost, which would
+            # dominate the exact solver's one-seed batches
+            ids = {int(v) for v in vs}
+            if ids and (min(ids) < 0 or max(ids) >= n):
+                as_vertex_array(ids, n, what="seed")  # raises
+            fresh = [v for v in ids if generation[v] == NEVER]
+            for v in fresh:
+                generation[v] = 0
+                self._mask |= 1 << v
+            self._seeds.extend(fresh)
+            self.active_count += len(fresh)
+            self._spread_python(fresh)
+        else:
+            seed_arr = as_vertex_array(vs, n, what="seed")
+            fresh = seed_arr[generation[seed_arr] == NEVER]
+            generation[fresh] = 0
+            self._seeds.extend(fresh.tolist())
+            self.active_count += int(fresh.size)
+            self._spread_numpy(fresh)
+        return self
+
+    def result(self) -> PercolationResult:
+        """A snapshot of the state as a trace; later batches do not change it."""
+        return PercolationResult(
+            threshold=self.r,
+            seeds=frozenset(self._seeds),
+            generation=np.array(self._generation, dtype=np.int64),
+            tau=len(self._per_round),
+            contagious=self.contagious,
+            active_count=self.active_count,
+            per_round_counts=tuple(self._per_round),
+        )
+
+    def _spread_numpy(self, frontier: np.ndarray) -> None:
+        generation, hits = self._generation, self._hits
+        while frontier.size:
+            nbrs = gather_rows(self.graph, frontier)
+            if nbrs.size == 0:
+                break
+            cand, counts = np.unique(nbrs, return_counts=True)
+            hits[cand] += counts
+            newly = cand[(hits[cand] >= self.r) & (generation[cand] == NEVER)]
+            if newly.size == 0:
+                break
+            self._per_round.append(int(newly.size))
+            generation[newly] = len(self._per_round)
+            self.active_count += int(newly.size)
+            frontier = newly.astype(np.int64)
+
+    def _spread_python(self, frontier: list[int]) -> None:
+        adjacency, r, g, mask = self.graph.adjacency, self.r, len(self._per_round), self._mask
+        generation, hits = self._generation, self._hits
+        while frontier:
+            newly: list[int] = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if generation[w] == NEVER:
+                        h = hits[w] + 1
+                        hits[w] = h
+                        if h == r:  # crossing happens exactly once per vertex
+                            newly.append(w)
+            if not newly:
+                break
+            g += 1
+            for w in newly:
+                generation[w] = g
+                mask |= 1 << w
+            self._per_round.append(len(newly))
+            self.active_count += len(newly)
+            frontier = newly
+        self._mask = mask
 
 
 def mandatory_seeds(graph: Graph, r: int) -> frozenset[int]:

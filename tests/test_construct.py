@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -153,7 +154,7 @@ class TestConstructor:
         assert trace.fallback_used
         assert_contagious(g, seeds, 3)
 
-    def test_fallback_keeps_its_last_greedy_run(self, monkeypatch):
+    def test_fallback_verifies_with_one_fresh_run(self, monkeypatch):
         g = sample_gnp(GnpParams(500, 2.0 / 500, 4))
         runs = []
 
@@ -164,12 +165,32 @@ class TestConstructor:
         monkeypatch.setattr(construct_module, "percolate", counting_percolate)
         seeds, trace = construct_contagious(g)
         assert trace.fallback_used
-        # one run from the mandatory seeds, one per greedy pick, no repeat
-        assert len(runs) == 1 + len(trace.a02)
+        # the greedy picks resume one state; only the verification percolates
+        assert len(runs) == 1
         assert trace.result is runs[-1]
         again = percolate(g, seeds, 2)
         assert trace.result.contagious and trace.result.seeds == seeds
         assert np.array_equal(trace.result.generation, again.generation)
+
+    # (n, p, rng_seed), r, then the seed count and blake2b digest of the sorted
+    # fallback set, and tau and active_count of trace.result, as computed by
+    # the greedy fallback that percolated from scratch after every pick.
+    @pytest.mark.parametrize(
+        "gnp, r, size, digest, tau, active",
+        [
+            ((500, 2.0 / 500, 4), 2, 299, "23b9f645c3c8ac00", 8, 500),
+            ((3000, 3.0 / 3000, 7), 2, 862, "a463d3c7850b2a7f", 27, 3000),
+            ((2000, 4.0 / 2000, 5), 3, 830, "229c61500ec27f3e", 12, 2000),
+            ((40, 0.15, 1), 3, 8, "e91fa8e67521fa0c", 11, 40),
+        ],
+    )
+    def test_fallback_pinned_to_rerun_greedy(self, gnp, r, size, digest, tau, active):
+        g = sample_gnp(GnpParams(*gnp))
+        seeds, trace = construct_contagious(g, StageParams(r=r))
+        assert trace.fallback_used
+        text = ",".join(map(str, sorted(seeds))).encode()
+        assert (len(seeds), hashlib.blake2b(text, digest_size=8).hexdigest()) == (size, digest)
+        assert (trace.result.tau, trace.result.active_count) == (tau, active)
 
     def test_trace_keeps_verifying_run(self):
         g = sample_gnp(GnpParams(3000, 30.0 / 3000, 4))

@@ -46,6 +46,8 @@ class TestKnownValues:
         g = complete_graph(r + 1)
         res = min_contagious_exact(g, r)
         assert res.size == r
+        nodes = {2: 6, 3: 17, 4: 43}[r]  # pinned like TestPinnedOutcomes
+        assert outcome(res) == (r, list(range(r)), nodes, "exact")
 
     def test_petersen_regression(self, petersen):
         assert min_contagious_exact(petersen, 2).size == PETERSEN_MIN_R2
@@ -73,6 +75,67 @@ class TestKnownValues:
         assert res.status == "exact"
 
 
+# (size, witness, nodes_explored, status) of each random_small instance, as
+# computed by the solver that percolated every child closure from scratch.
+RANDOM_SMALL_PINS = {
+    0: (6, [0, 2, 4, 5, 6, 7], 2, "exact"),
+    1: (5, [0, 1, 2, 3, 4], 1, "exact"),
+    2: (6, [1, 2, 3, 4, 5, 6], 3, "exact"),
+    3: (7, [0, 1, 2, 4, 5, 6, 7], 1, "exact"),
+    4: (5, [1, 2, 3, 4, 6], 2, "exact"),
+    5: (2, [0, 1], 10, "exact"),
+    6: (5, [0, 1, 2, 3, 4], 1, "exact"),
+    7: (4, [0, 1, 6, 8], 51, "exact"),
+    8: (7, [0, 1, 2, 3, 4, 5, 6], 1, "exact"),
+    9: (4, [0, 1, 2, 3], 1, "exact"),
+    10: (2, [0, 1], 10, "exact"),
+    11: (2, [0, 1], 1, "exact"),
+    12: (6, [0, 1, 2, 3, 4, 5], 1, "exact"),
+    13: (3, [0, 2, 4], 66, "exact"),
+    14: (2, [0, 1], 1, "exact"),
+    15: (3, [0, 1, 2], 57, "exact"),
+    16: (4, [0, 1, 2, 3], 2, "exact"),
+    17: (2, [0, 1], 10, "exact"),
+    18: (4, [0, 4, 5, 6], 13, "exact"),
+    19: (4, [1, 2, 4, 5], 3, "exact"),
+}
+
+
+def outcome(res):
+    witness = None if res.witness is None else sorted(res.witness)
+    return (res.size, witness, res.nodes_explored, res.status)
+
+
+class TestPinnedOutcomes:
+    """Equal nodes_explored shows that the search visited the same tree."""
+
+    @pytest.mark.parametrize(
+        "graph, r, budget, expected",
+        [
+            ("petersen", 2, None, (3, [0, 2, 8], 82, "exact")),
+            ("petersen", 3, None, (6, [0, 1, 3, 7, 8, 9], 1096, "exact")),
+            ("k4_iso", 2, None, (3, [0, 1, 4], 7, "exact")),
+            ("c4", 2, None, (2, [0, 2], 8, "exact")),
+            ("path5", 2, None, (3, [0, 2, 4], 3, "exact")),
+            ((40, 0.12, 3), 2, None, (3, [0, 2, 11], 43, "exact")),
+            ((40, 0.12, 3), 2, 5, (2, None, 5, "budget_exceeded")),
+            ((30, 0.12, 1), 2, None, (12, [0, 1, 2, 5, 7, 10, 16, 17, 22, 24, 25, 27], 6086, "exact")),
+            ((30, 0.12, 1), 2, 2000, (11, None, 2000, "budget_exceeded")),
+            ((30, 0.15, 2), 3, 5000, (5, None, 5000, "budget_exceeded")),
+            ((36, 0.14, 4), 3, None, (10, [0, 1, 7, 9, 21, 23, 28, 30, 32, 34], 844, "exact")),
+            # more than _SMALL_N vertices: the numpy engine path
+            ((600, 0.001, 2), 2, 3000, (533, None, 3000, "budget_exceeded")),
+        ],
+    )
+    def test_matches_from_scratch_solver(self, request, graph, r, budget, expected):
+        if isinstance(graph, str):
+            g = request.getfixturevalue(graph)
+        else:
+            g = sample_gnp(GnpParams(*graph))
+        res = min_contagious_exact(g, r) if budget is None else min_contagious_exact(g, r, budget)
+        assert outcome(res) == expected
+
+
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_small(self, seed):
@@ -88,7 +151,7 @@ class TestAgainstEnumeration:
         size_oracle, _ = naive_min_contagious(adj, r, n)
 
         assert res.size == size_oracle
-        assert res.status == "exact"
+        assert outcome(res) == RANDOM_SMALL_PINS[seed]
         assert len(res.witness) == res.size
         assert percolate(g, res.witness, r).contagious
 

@@ -290,6 +290,10 @@ class TestEdgeListIO:
             ("3 1\n0 1\r2\n", "line 2: expected two integers"),
             ("3 1\n0 1\n0 1 2\n", "line 3: more than 1 edges"),
             ("3 1\n\n0 99999999999999999999999\n", "out of range for 3 vertices"),
+            # ids too large for int64 are quoted as the file spells them, not clamped
+            ("3 2\n0 1\n0 99999999999999999999999\n", "line 3: edge (0, 99999999999999999999999) out"),
+            ("3 1\n99999999999999999998 99999999999999999999\n", "line 2: edge (99999999999999999998, 9"),
+            ("3 2\n1 0\n0 99999999999999999999999\n", "line 2: edge (1, 0): endpoints"),
             ("3 2\n0 1\n0 1 2\n1 1\n", "line 3: expected 'u v'"),
             ("3 2\n0 2\n0 2\n0 1 2\n", "line 3: duplicate"),
             ("3 1\n\xff\n", "line 2"),

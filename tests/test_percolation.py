@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,14 +15,32 @@ from contagion import (
     GnpParams,
     Graph,
     PercolationResult,
+    Percolator,
     mandatory_seeds,
     percolate,
     sample_gnp,
     validate_result,
 )
-from contagion.percolation import _percolate_numpy, _percolate_python
+from contagion import percolation as percolation_module
 
 from conftest import adjacency_sets, complete_graph, naive_percolate, random_graph_edges
+
+PATHS = ("python", "numpy")
+
+
+def on_path(path, graph, r):
+    """A fresh Percolator on the given engine path, whatever the graph's size."""
+    small_n = graph.vertex_count if path == "python" else -1
+    with mock.patch.object(percolation_module, "_SMALL_N", small_n):
+        state = Percolator(graph, r)
+    assert state._small == (path == "python")
+    return state
+
+
+def run_path(path, graph, seeds, r):
+    res = on_path(path, graph, r).add_seeds(seeds).result()
+    return res.generation, list(res.per_round_counts)
+
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -121,8 +140,8 @@ class TestAgainstOracle:
         # same graph through both implementations
         g = sample_gnp(GnpParams(1000, 0.008, 77))
         seeds = np.arange(0, 1000, 37)
-        gen_py, rounds_py = _percolate_python(g, seeds, 2)
-        gen_np, rounds_np = _percolate_numpy(g, seeds, 2)
+        gen_py, rounds_py = run_path("python", g, seeds, 2)
+        gen_np, rounds_np = run_path("numpy", g, seeds, 2)
         assert np.array_equal(gen_py, gen_np)
         assert rounds_py == rounds_np
 
@@ -134,8 +153,8 @@ class TestAgainstOracle:
             edges = random_graph_edges(n, 0.3, rng)
             g = Graph.from_edges(n, edges)
             seeds = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-            gen_py, rounds_py = _percolate_python(g, np.sort(seeds), r)
-            gen_np, rounds_np = _percolate_numpy(g, np.sort(seeds), r)
+            gen_py, rounds_py = run_path("python", g, np.sort(seeds), r)
+            gen_np, rounds_np = run_path("numpy", g, np.sort(seeds), r)
             assert np.array_equal(gen_py, gen_np)
             assert rounds_py == rounds_np
 
@@ -333,3 +352,103 @@ class TestProcessProperties:
             assert present == list(range(res.tau + 1)) or (
                 res.tau == 0 and present == [0]
             )
+
+
+@st.composite
+def graph_and_batches(draw):
+    """A graph and seed batches that may repeat ids or name already active ones."""
+    g, _, r = draw(graph_and_seeds())
+    ids = st.integers(min_value=0, max_value=g.vertex_count - 1)
+    batches = draw(st.lists(st.lists(ids, max_size=6), max_size=5))
+    return g, batches, r
+
+
+def graph_adjacency(g):
+    return adjacency_sets(list(g.edges()), g.vertex_count)
+
+
+def snapshot(res):
+    return (res.generation.tolist(), res.per_round_counts, res.seeds, res.active_count, res.tau)
+
+
+class TestPercolator:
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_batches())
+    @pytest.mark.parametrize("path", PATHS)
+    def test_batches_reach_closure_of_union(self, path, case):
+        g, batches, r = case
+        state = on_path(path, g, r)
+        for batch in batches:
+            assert state.add_seeds(batch) is state
+        union = set().union(*batches)
+        gen_oracle, _ = naive_percolate(graph_adjacency(g), union, r)
+        res = state.result()
+        assert res.active == frozenset(gen_oracle)
+        assert state.active_count == len(gen_oracle)
+        assert state.contagious == (len(gen_oracle) == g.vertex_count)
+        assert state.active_mask == sum(1 << v for v in gen_oracle)
+        assert all(state.is_active(v) == (v in gen_oracle) for v in range(g.vertex_count))
+        # Rounds numbered on across batches still obey the activation rule.
+        validate_result(g, res)
+
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_batches())
+    @pytest.mark.parametrize("path", PATHS)
+    def test_repeated_and_active_seeds_are_noops(self, path, case):
+        g, batches, r = case
+        state = on_path(path, g, r)
+        for batch in batches:
+            state.add_seeds(batch)
+        before = snapshot(state.result())
+        active = np.flatnonzero(state.result().generation != NEVER).tolist()
+        state.add_seeds(active + active[::-1])
+        for batch in batches:
+            state.add_seeds(batch)
+        assert snapshot(state.result()) == before
+
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_batches(), extra=st.lists(st.integers(0, 23), max_size=6))
+    @pytest.mark.parametrize("path", PATHS)
+    def test_copy_leaves_parent_unchanged(self, path, case, extra):
+        g, batches, r = case
+        first, rest = (batches[0], batches[1:]) if batches else ([], [])
+        extra = [v for v in extra if v < g.vertex_count]
+        parent = on_path(path, g, r).add_seeds(first)
+        before = snapshot(parent.result())
+        mask = parent.active_mask
+        child = parent.copy().add_seeds(extra)
+        assert snapshot(parent.result()) == before
+        assert parent.active_mask == mask
+        assert child.active_mask & mask == mask  # the child's closure extends its parent's
+        # The parent resumes from its own state, not the child's.
+        for batch in rest:
+            parent.add_seeds(batch)
+        gen_oracle, _ = naive_percolate(graph_adjacency(g), set(first).union(*rest), r)
+        assert parent.result().active == frozenset(gen_oracle)
+
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_seeds())
+    @pytest.mark.parametrize("path", PATHS)
+    def test_fresh_run_matches_oracle_by_generation(self, path, case):
+        g, seeds, r = case
+        res = on_path(path, g, r).add_seeds(seeds).result()
+        gen_oracle, tau_oracle = naive_percolate(graph_adjacency(g), seeds, r)
+        assert res.tau == tau_oracle
+        assert res.generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(g.vertex_count)]
+        assert snapshot(res) == snapshot(percolate(g, seeds, r))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_rejects_bad_seed_and_threshold(self, path, c4):
+        with pytest.raises(ValueError, match="seed id 4 out of range"):
+            on_path(path, c4, 2).add_seeds([0, 4])
+        with pytest.raises(ValueError, match="seed id -1 out of range"):
+            on_path(path, c4, 2).add_seeds([-1, 4])
+        with pytest.raises(ValueError):
+            Percolator(c4, 1)
+
+    def test_result_is_a_snapshot(self, c4):
+        state = Percolator(c4, 2).add_seeds([0])
+        first = state.result()
+        state.add_seeds([2])
+        assert first.generation.tolist() == [0, NEVER, NEVER, NEVER]
+        assert state.result().generation.tolist() == [0, 1, 0, 1]
