@@ -8,7 +8,7 @@ JSON records.
 
 Exit codes: 0 on success, 2 when a batch run raises a statistical flag
 (growth violation, missed pass rate, threshold bracket failure), 1 on
-usage or I/O errors.
+usage or I/O errors or on a printed trace that fails ``validate_result``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .experiments import (
     run_experiment,
 )
 from .graph import GnpParams, GraphFormatError, load_edge_list, sample_gnp, save_edge_list
-from .percolation import percolate
+from .percolation import percolate, validate_result
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1; argparse's default of 2 is reserved for flags
@@ -99,6 +99,7 @@ def _cmd_generate(args) -> int:
 def _cmd_percolate(args) -> int:
     graph = load_edge_list(args.graph)
     result = percolate(graph, args.seeds, args.r)
+    validate_result(graph, result)
     _emit_json(result.to_json_dict(), args.out)
     return 0
 
@@ -111,6 +112,7 @@ def _cmd_construct(args) -> int:
         c_seed=args.c_seed,
     )
     seeds, trace = construct_contagious(graph, params)
+    validate_result(graph, trace.result)
     payload = {
         "size": len(seeds),
         "seeds": sorted(seeds),

@@ -351,74 +351,70 @@ def search_minimal_tuple(
     Each iteration draws r pool vertices, splits the rest of the pool into
     k_target - r blocks by round-robin over a seeded shuffle, and extends
     the chain one block at a time: the j-th extension must already have r
-    neighbors among the chosen.  A completed chain triggers a percolation
-    from the r initial vertices; a contagious run is returned, anything
-    else dumps the used vertices from the pool and iterates.  Returns None
-    when the iteration budget or the pool runs out.
+    neighbors among the chosen (the smallest such id in its block is taken).
+    A completed chain is judged by a fresh, sparse-first ``Percolator`` from
+    the r initial vertices; a contagious run is returned, anything else dumps
+    the used vertices from the pool and iterates.  One count list per graph,
+    reset through the rows each iteration touched, keeps an iteration at
+    O(chain degree), not O(n).  Returns None when the iteration budget or
+    the pool runs out.
     """
     n = graph.vertex_count
     r, k = params.r, params.k_target
     if n < k:
         raise ValueError("graph smaller than k_target")
     rng = np.random.Generator(np.random.PCG64(params.rng_seed))
-    in_pool = np.ones(n, dtype=bool)
+    indptr, indices = graph.indptr, graph.indices
+    in_pool = bytearray(b"\x01") * n
     pool_size = n
-    counts = np.zeros(n, dtype=np.int64)
+    counts = [0] * n
     num_blocks = k - r
     block_of = np.full(n, -1, dtype=np.int64) if num_blocks > 1 else None
 
     for _ in range(params.max_iterations):
         if pool_size < k:
             break
-        chosen: list[int] = []
-        touched: list[np.ndarray] = []
-        ready: set[int] = set()
+        chosen, rows = [], []  # the chain, and the rows its count updates touched
+        ready: list[int] = []  # vertices with r chosen neighbors
 
         def bump(u: int) -> None:
-            row = graph.neighbors(u)
-            if row.size == 0:
-                return
-            touched.append(row)
-            counts[row] += 1
-            crossed = row[counts[row] == r]
-            if crossed.size:
-                ready.update(crossed.tolist())
+            row = indices[indptr[u] : indptr[u + 1]].tolist()
+            rows.append(row)
+            for w in row:
+                c = counts[w] + 1
+                counts[w] = c
+                if c == r:
+                    ready.append(w)
 
         while len(chosen) < r:
             v = int(rng.integers(0, n))
             if in_pool[v]:
-                in_pool[v] = False
+                in_pool[v] = 0
                 pool_size -= 1
                 chosen.append(v)
                 bump(v)
         if num_blocks > 1:
-            rest = np.flatnonzero(in_pool)
-            perm = rng.permutation(rest)
+            perm = rng.permutation(np.flatnonzero(np.frombuffer(in_pool, dtype=np.uint8)))
             block_of[perm] = np.arange(perm.size, dtype=np.int64) % num_blocks
 
-        completed = True
         for j in range(r + 1, k + 1):
             block = j - r - 1
-            best = None
-            for v in ready:
-                if not in_pool[v]:
-                    continue
-                if num_blocks > 1 and block_of[v] != block:
-                    continue
-                if best is None or v < best:
-                    best = v
+            best = min(
+                (v for v in ready if in_pool[v] and (block_of is None or block_of[v] == block)),
+                default=None,
+            )
             if best is None:
-                completed = False
                 break
-            in_pool[best] = False
+            in_pool[best] = 0
             pool_size -= 1
             chosen.append(best)
-            bump(best)
-
-        if completed:
-            result = percolate(graph, chosen[:r], r)
-            if result.contagious:
-                return frozenset(chosen[:r]), result
-        if touched:
-            counts[np.concatenate(touched)] = 0
+            if j < k:  # nothing reads the counts after the last extension
+                bump(best)
+        else:
+            state = Percolator(graph, r).add_seeds(chosen[:r])
+            if state.contagious:
+                return frozenset(chosen[:r]), state.result()
+        for row in rows:
+            for w in row:
+                counts[w] = 0
     return None

@@ -9,6 +9,7 @@ harness uses (up to a few times 10^7 arcs).  Vertices are the integers
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -32,21 +33,31 @@ class GraphFormatError(ValueError):
     """Malformed edge-list input; the message names the offending line."""
 
 
-def as_vertex_array(vertices: Iterable[int], n: int, *, what: str = "vertex") -> np.ndarray:
-    """Normalize an iterable of vertex ids into a sorted unique int64 array.
+def vertex_ids(vertices: Iterable[int], n: int, *, what: str = "vertex") -> set[int]:
+    """The distinct ids in ``vertices`` as Python ints.
 
-    Raises ValueError if any id falls outside ``[0, n)``.
+    Python and numpy integers are accepted.  Raises ValueError naming an id
+    that is not an integer (a float, a string) or falls outside ``[0, n)``.
     """
-    if isinstance(vertices, np.ndarray):
-        arr = vertices.astype(np.int64, copy=False)
+    if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
+        ids = set(vertices.ravel().tolist())
     else:
-        arr = np.fromiter(vertices, dtype=np.int64)
-    if arr.size:
-        arr = np.unique(arr)
-        if arr[0] < 0 or arr[-1] >= n:
-            bad = int(arr[0]) if arr[0] < 0 else int(arr[-1])
-            raise ValueError(f"{what} id {bad} out of range for graph with {n} vertices")
-    return arr
+        ids = set()
+        for v in vertices:
+            try:
+                ids.add(operator.index(v))
+            except TypeError:
+                shown = v.item() if isinstance(v, np.generic) else v
+                raise ValueError(f"{what} id {shown!r} is not an integer") from None
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        raise ValueError(f"{what} id {bad} out of range for graph with {n} vertices")
+    return ids
+
+
+def as_vertex_array(vertices: Iterable[int], n: int, *, what: str = "vertex") -> np.ndarray:
+    """The ids of ``vertices`` as a sorted unique int64 array, checked as in ``vertex_ids``."""
+    return np.array(sorted(vertex_ids(vertices, n, what=what)), dtype=np.int64)
 
 
 class Graph:

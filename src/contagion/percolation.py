@@ -4,7 +4,8 @@ A vertex activates in round g when at least r of its neighbors were active
 after round g - 1; seeds are active in round 0 and nothing ever deactivates.
 The one engine, ``Percolator``, keeps a per-vertex count of active neighbors
 and only ever touches the frontier's adjacency rows, so a full run costs
-O(n + m).  It can resume: seeds added to a state at fixation spread from
+O(n + m), and a run that stalls after a few activations costs about what
+it touched.  It can resume: seeds added to a state at fixation spread from
 there, so a caller that grows a seed set one vertex at a time pays for the
 new activations only.  ``percolate`` runs a fresh state once.
 """
@@ -17,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, as_vertex_array, gather_rows
+from .graph import Graph, gather_rows, vertex_ids
 
 __all__ = ["NEVER", "PercolationResult", "Percolator", "percolate", "mandatory_seeds", "validate_result"]
 
@@ -27,6 +28,11 @@ NEVER = -1
 # Up to this many vertices the plain-Python path beats numpy call overhead,
 # which matters for the exact solver's thousands of closure computations.
 _SMALL_N = 512
+
+# A sparse state moves to numpy arrays at its first wave over more adjacency
+# entries than this: on one wave from a fresh state, row-by-row steps cost as
+# much as the move plus a numpy step near 1500 entries at n = 20000, 2400 at 200000.
+_SPARSE_ENTRIES = 2048
 
 
 @dataclass(eq=False)
@@ -78,9 +84,13 @@ class Percolator:
     child state.  Rounds are numbered on across batches, so the active set is
     the closure of all seeds so far and ``result()`` passes
     ``validate_result``, but a fresh ``percolate`` of the union numbers the
-    generations differently.  Above ``_SMALL_N`` vertices the generation map
-    and the active-neighbour counts ``hits`` are numpy arrays; otherwise they
-    are lists, with an int bitmask of the active set beside them.
+    generations differently.  Up to ``_SMALL_N`` vertices the generation map
+    and the active-neighbour counts ``hits`` are lists, with an int bitmask of
+    the active set beside them.  Above it a fresh state holds them as dicts
+    keyed by vertex and steps each wave one adjacency row at a time, so a run
+    that stalls early costs what it touched, not O(n); the first time a wave
+    (the seed batch counts as one) spans more than ``_SPARSE_ENTRIES``
+    entries, the state moves to numpy arrays and whole-wave numpy steps.
     """
 
     __slots__ = ("graph", "r", "active_count", "_small", "_generation", "_hits", "_seeds",
@@ -95,7 +105,7 @@ class Percolator:
         if self._small:
             self._generation, self._hits = [NEVER] * n, [0] * n
         else:
-            self._generation, self._hits = np.full(n, NEVER, np.int64), np.zeros(n, np.int64)
+            self._generation, self._hits = {}, {}
         self._seeds: list[int] = []
         self._per_round: list[int] = []
         self._mask = 0
@@ -109,10 +119,12 @@ class Percolator:
         """The active set as an int with bit v set for each active v."""
         if self._small:
             return self._mask
-        bits = np.packbits(self._generation != NEVER, bitorder="little")
+        bits = np.packbits(self._generation_array() != NEVER, bitorder="little")
         return int.from_bytes(bits.tobytes(), "little")
 
     def is_active(self, v: int) -> bool:
+        if type(self._generation) is dict:
+            return v in self._generation
         return self._generation[v] != NEVER
 
     def copy(self) -> "Percolator":
@@ -125,27 +137,23 @@ class Percolator:
 
     def add_seeds(self, vs: Iterable[int]) -> "Percolator":
         """Seed the inactive ids among ``vs`` and run to fixation; returns self."""
-        generation, n = self._generation, self.graph.vertex_count
-        if self._small:
-            # as_vertex_array's check without its numpy cost, which would
-            # dominate the exact solver's one-seed batches
-            ids = {int(v) for v in vs}
-            if ids and (min(ids) < 0 or max(ids) >= n):
-                as_vertex_array(ids, n, what="seed")  # raises
-            fresh = [v for v in ids if generation[v] == NEVER]
-            for v in fresh:
-                generation[v] = 0
-                self._mask |= 1 << v
-            self._seeds.extend(fresh)
-            self.active_count += len(fresh)
-            self._spread_python(fresh)
+        ids, generation = vertex_ids(vs, self.graph.vertex_count, what="seed"), self._generation
+        if type(generation) is dict:
+            fresh = [v for v in ids if v not in generation]
         else:
-            seed_arr = as_vertex_array(vs, n, what="seed")
-            fresh = seed_arr[generation[seed_arr] == NEVER]
-            generation[fresh] = 0
-            self._seeds.extend(fresh.tolist())
-            self.active_count += int(fresh.size)
-            self._spread_numpy(fresh)
+            fresh = [v for v in ids if generation[v] == NEVER]
+        for v in fresh:
+            generation[v] = 0
+        self._seeds.extend(fresh)
+        self.active_count += len(fresh)
+        if self._small:
+            for v in fresh:
+                self._mask |= 1 << v
+            self._spread_python(fresh)
+        elif type(generation) is dict:
+            self._spread_sparse(fresh)
+        else:
+            self._spread_numpy(np.array(fresh, dtype=np.int64))
         return self
 
     def result(self) -> PercolationResult:
@@ -153,12 +161,45 @@ class Percolator:
         return PercolationResult(
             threshold=self.r,
             seeds=frozenset(self._seeds),
-            generation=np.array(self._generation, dtype=np.int64),
+            generation=self._generation_array(),
             tau=len(self._per_round),
             contagious=self.contagious,
             active_count=self.active_count,
             per_round_counts=tuple(self._per_round),
         )
+
+    def _generation_array(self) -> np.ndarray:
+        if type(self._generation) is dict:
+            return _filled(self.graph.vertex_count, NEVER, self._generation)
+        return np.array(self._generation, dtype=np.int64)
+
+    def _spread_sparse(self, frontier: list[int]) -> None:
+        indptr, indices, r = self.graph.indptr, self.graph.indices, self.r
+        generation, hits, get_hits = self._generation, self._hits, self._hits.get
+        while frontier:
+            # a wave from more vertices than the limit is not sliced row by row
+            sliced = len(frontier) <= _SPARSE_ENTRIES
+            rows = [indices[indptr[u] : indptr[u + 1]] for u in frontier] if sliced else []
+            if not sliced or sum(map(len, rows)) > _SPARSE_ENTRIES:
+                n = self.graph.vertex_count
+                self._generation, self._hits = _filled(n, NEVER, generation), _filled(n, 0, hits)
+                self._spread_numpy(np.array(frontier, dtype=np.int64))
+                return
+            newly: list[int] = []
+            for row in rows:
+                for w in row.tolist():
+                    h = get_hits(w, 0) + 1
+                    hits[w] = h
+                    # hits counts active vertices too; only an inactive one
+                    # activates, as it crosses r, which happens once
+                    if h == r and w not in generation:
+                        newly.append(w)
+            if not newly:
+                break
+            self._per_round.append(len(newly))
+            generation.update(dict.fromkeys(newly, len(self._per_round)))
+            self.active_count += len(newly)
+            frontier = newly
 
     def _spread_numpy(self, frontier: np.ndarray) -> None:
         generation, hits = self._generation, self._hits
@@ -198,6 +239,13 @@ class Percolator:
             self.active_count += len(newly)
             frontier = newly
         self._mask = mask
+
+
+def _filled(n: int, fill: int, values: dict[int, int]) -> np.ndarray:
+    """An int64 array of length n holding ``values`` at their keys and ``fill`` elsewhere."""
+    arr = np.full(n, fill, dtype=np.int64)
+    arr[list(values)] = list(values.values())
+    return arr
 
 
 def mandatory_seeds(graph: Graph, r: int) -> frozenset[int]:

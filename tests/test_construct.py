@@ -299,3 +299,57 @@ class TestTupleSearch:
                 assert res.contagious
                 hits += 1
         assert hits >= 8, f"tuple search succeeded only {hits}/{trials} times"
+
+    # (n, r, k_target, multiple of the threshold scale (n log^{r-1} n)^{-1/r},
+    # graph seed, search seed), the fewest iterations that find a tuple, and
+    # (sorted tuple, tau, per_round_counts, active_count) of the find, as
+    # computed by the search that kept numpy counts and percolated each
+    # completed chain with ``percolate``.  Graphs of 400 vertices are below
+    # _SMALL_N, those of 3000 above it; k_target >= r + 2 takes the
+    # rng.permutation path.
+    @pytest.mark.parametrize(
+        "case, iterations, expected",
+        [
+            ((400, 2, 3, 1.3, 2, 12), 3,
+             ([25, 75], 12, (1, 1, 2, 2, 2, 4, 6, 24, 99, 207, 49, 1), 400)),
+            ((400, 2, 5, 2.0, 2, 12), 24, ([37, 237], 6, (2, 3, 7, 31, 189, 166), 400)),
+            ((400, 3, 4, 1.5, 1, 11), 58,
+             ([253, 254, 348], 8, (1, 2, 1, 4, 11, 52, 253, 73), 400)),
+            ((400, 3, 5, 1.5, 2, 12), 50,
+             ([32, 75, 254], 9, (1, 1, 1, 3, 2, 8, 34, 223, 124), 400)),
+            ((3000, 2, 3, 1.3, 2, 12), 24,
+             ([909, 2640], 10, (1, 1, 2, 4, 7, 16, 69, 559, 2265, 74), 3000)),
+            ((3000, 2, 5, 1.3, 1, 11), 317,
+             ([1412, 2398], 11, (4, 2, 3, 3, 5, 6, 27, 151, 1295, 1500, 2), 3000)),
+            ((3000, 3, 4, 1.5, 1, 11), 640,
+             ([1019, 1135, 1769], 12, (1, 1, 2, 1, 1, 1, 1, 3, 10, 61, 1090, 1825), 3000)),
+            ((3000, 3, 5, 1.5, 2, 12), 2,
+             ([1097, 2400, 2688], 9, (1, 1, 3, 4, 6, 23, 244, 2650, 65), 3000)),
+            # denser graphs, where a block often holds several ready vertices,
+            # so taking another than the smallest changes the find
+            ((400, 2, 5, 3.0, 2, 12), 3, ([271, 335], 5, (2, 7, 51, 309, 29), 400)),
+            ((400, 3, 5, 3.0, 1, 11), 8, ([42, 49, 347], 4, (3, 7, 82, 305), 400)),
+            ((3000, 2, 4, 1.3, 2, 12), 485,
+             ([1185, 1441], 9, (2, 3, 2, 4, 14, 47, 331, 2170, 425), 3000)),
+            ((3000, 2, 5, 2.0, 2, 12), 78, ([775, 1856], 7, (1, 2, 5, 20, 145, 1841, 984), 3000)),
+            ((3000, 3, 5, 3.0, 2, 12), 10,
+             ([746, 1746, 2643], 5, (2, 5, 42, 1536, 1412), 3000)),
+        ],
+    )
+    def test_pinned_finds_and_budgets(self, case, iterations, expected):
+        n, r, k, mult, graph_seed, search_seed = case
+        g = sample_gnp(GnpParams(n, mult * (n * math.log(n) ** (r - 1)) ** (-1 / r), graph_seed))
+
+        def search(budget):
+            params = TupleSearchParams(r=r, k_target=k, max_iterations=budget, rng_seed=search_seed)
+            found = search_minimal_tuple(g, params)
+            if found is None:
+                return None
+            seeds, res = found
+            assert res.seeds == seeds and res.contagious
+            return sorted(seeds), res.tau, res.per_round_counts, res.active_count
+
+        assert search(iterations) == expected
+        assert search(10 * iterations) == expected
+        if iterations > 1:  # one iteration short, the budget runs out
+            assert search(iterations - 1) is None

@@ -21,6 +21,7 @@ from contagion import (
     run_experiment,
     statistical_thresholds,
 )
+from contagion import cli
 from contagion.cli import main
 from contagion.experiments import ExperimentRecord
 
@@ -266,6 +267,31 @@ class TestCli:
         text = out.read_text()
         assert text.startswith(",".join(CSV_HEADER_V1))
         assert text.endswith("\n")
+
+    def test_emitted_traces_are_validated(self, tmp_path, monkeypatch, capsys):
+        gpath = tmp_path / "g.txt"
+        assert main(["generate", "--n", "60", "--p", "0.2", "--seed", "4", "--out", str(gpath)]) == 0
+
+        def corrupted(result):
+            result.generation[result.generation == 0] = -1  # seeds vanish from the map
+            return result
+
+        monkeypatch.setattr(cli, "percolate", lambda *args: corrupted(percolate(*args)))
+        assert main(["percolate", "--graph", str(gpath), "--seeds", "0,1,2,3,4"]) == 1
+        assert "error: generation-0 vertices disagree with the seed set" in capsys.readouterr().err
+
+        original = cli.construct_contagious
+
+        def construct_corrupted(graph, params):
+            seeds, trace = original(graph, params)
+            corrupted(trace.result)
+            return seeds, trace
+
+        monkeypatch.setattr(cli, "construct_contagious", construct_corrupted)
+        assert main(["construct", "--graph", str(gpath)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: generation-0 vertices disagree with the seed set" in captured.err
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["percolate", "--graph", "/no/such/file", "--seeds", "0"]) == 1

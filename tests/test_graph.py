@@ -243,6 +243,13 @@ class TestInducedEdges:
         assert induced_edge_count(c4, [0, 2]) == 0
         assert induced_edge_count(c4, []) == 0
 
+    def test_rejects_ids_that_are_not_integers(self, c4):
+        with pytest.raises(ValueError, match="vertex id 0.5 is not an integer"):
+            induced_edge_count(c4, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="vertex id 1.5 is not an integer"):
+            connected_components(c4, [0, 1.5])
+        assert induced_edge_count(c4, np.array([0, 1], dtype=np.uint8)) == 1
+
     def test_matches_oracle(self):
         rng = np.random.default_rng(11)
         edges = random_graph_edges(60, 0.2, rng)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -25,20 +26,38 @@ from contagion import percolation as percolation_module
 
 from conftest import adjacency_sets, complete_graph, naive_percolate, random_graph_edges
 
-PATHS = ("python", "numpy")
+# Engine paths, as (_SMALL_N, _SPARSE_ENTRIES): the list path; the numpy path
+# at its own switch point; kept sparse; moved to arrays at its first wave; and
+# moved mid-run, once a wave spans more than 4 adjacency entries.
+PATH_LIMITS = {
+    "python": (10**9, 0),
+    "numpy": (-1, percolation_module._SPARSE_ENTRIES),
+    "sparse": (-1, 10**9),
+    "dense": (-1, 0),
+    "switch": (-1, 4),
+}
+PATHS = tuple(PATH_LIMITS)
+
+
+@contextmanager
+def engine_path(path):
+    """Run the engine on the given path, whatever the graph's size."""
+    small_n, entries = PATH_LIMITS[path]
+    with mock.patch.object(percolation_module, "_SMALL_N", small_n), \
+            mock.patch.object(percolation_module, "_SPARSE_ENTRIES", entries):
+        yield
 
 
 def on_path(path, graph, r):
-    """A fresh Percolator on the given engine path, whatever the graph's size."""
-    small_n = graph.vertex_count if path == "python" else -1
-    with mock.patch.object(percolation_module, "_SMALL_N", small_n):
-        state = Percolator(graph, r)
+    """A fresh Percolator; call it inside ``engine_path(path)``."""
+    state = Percolator(graph, r)
     assert state._small == (path == "python")
     return state
 
 
 def run_path(path, graph, seeds, r):
-    res = on_path(path, graph, r).add_seeds(seeds).result()
+    with engine_path(path):
+        res = on_path(path, graph, r).add_seeds(seeds).result()
     return res.generation, list(res.per_round_counts)
 
 
@@ -371,18 +390,31 @@ def snapshot(res):
     return (res.generation.tolist(), res.per_round_counts, res.seeds, res.active_count, res.tau)
 
 
+def resumed_oracle(adj, batches, r):
+    """The rescan oracle run batch by batch, numbering rounds on across batches."""
+    gen, rounds = {}, 0
+    for batch in batches:
+        fresh = set(batch) - set(gen)
+        step, tau = naive_percolate(adj, set(gen) | fresh, r)
+        gen.update((v, 0) for v in fresh)
+        gen.update((v, rounds + g) for v, g in step.items() if v not in gen)
+        rounds += tau
+    return gen
+
+
 class TestPercolator:
     @PROPERTY_SETTINGS
     @given(case=graph_and_batches())
     @pytest.mark.parametrize("path", PATHS)
     def test_batches_reach_closure_of_union(self, path, case):
         g, batches, r = case
-        state = on_path(path, g, r)
-        for batch in batches:
-            assert state.add_seeds(batch) is state
-        union = set().union(*batches)
-        gen_oracle, _ = naive_percolate(graph_adjacency(g), union, r)
+        with engine_path(path):
+            state = on_path(path, g, r)
+            for batch in batches:
+                assert state.add_seeds(batch) is state
+        gen_oracle = resumed_oracle(graph_adjacency(g), batches, r)
         res = state.result()
+        assert res.generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(g.vertex_count)]
         assert res.active == frozenset(gen_oracle)
         assert state.active_count == len(gen_oracle)
         assert state.contagious == (len(gen_oracle) == g.vertex_count)
@@ -396,14 +428,15 @@ class TestPercolator:
     @pytest.mark.parametrize("path", PATHS)
     def test_repeated_and_active_seeds_are_noops(self, path, case):
         g, batches, r = case
-        state = on_path(path, g, r)
-        for batch in batches:
-            state.add_seeds(batch)
-        before = snapshot(state.result())
-        active = np.flatnonzero(state.result().generation != NEVER).tolist()
-        state.add_seeds(active + active[::-1])
-        for batch in batches:
-            state.add_seeds(batch)
+        with engine_path(path):
+            state = on_path(path, g, r)
+            for batch in batches:
+                state.add_seeds(batch)
+            before = snapshot(state.result())
+            active = np.flatnonzero(state.result().generation != NEVER).tolist()
+            state.add_seeds(active + active[::-1])
+            for batch in batches:
+                state.add_seeds(batch)
         assert snapshot(state.result()) == before
 
     @PROPERTY_SETTINGS
@@ -413,25 +446,31 @@ class TestPercolator:
         g, batches, r = case
         first, rest = (batches[0], batches[1:]) if batches else ([], [])
         extra = [v for v in extra if v < g.vertex_count]
-        parent = on_path(path, g, r).add_seeds(first)
-        before = snapshot(parent.result())
-        mask = parent.active_mask
-        child = parent.copy().add_seeds(extra)
-        assert snapshot(parent.result()) == before
-        assert parent.active_mask == mask
-        assert child.active_mask & mask == mask  # the child's closure extends its parent's
-        # The parent resumes from its own state, not the child's.
-        for batch in rest:
-            parent.add_seeds(batch)
-        gen_oracle, _ = naive_percolate(graph_adjacency(g), set(first).union(*rest), r)
-        assert parent.result().active == frozenset(gen_oracle)
+        with engine_path(path):
+            parent = on_path(path, g, r).add_seeds(first)
+            before = snapshot(parent.result())
+            mask = parent.active_mask
+            child = parent.copy().add_seeds(extra)
+            assert snapshot(parent.result()) == before
+            assert parent.active_mask == mask
+            assert child.active_mask & mask == mask  # the child's closure extends its parent's
+            # The parent resumes from its own state, not the child's.
+            for batch in rest:
+                parent.add_seeds(batch)
+        adj = graph_adjacency(g)
+        gen_oracle = resumed_oracle(adj, [first, *rest], r)
+        assert parent.result().generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(g.vertex_count)]
+        gen_child = resumed_oracle(adj, [first, extra], r)
+        assert child.result().generation.tolist() == [gen_child.get(v, NEVER) for v in range(g.vertex_count)]
+        validate_result(g, child.result())
 
     @PROPERTY_SETTINGS
     @given(case=graph_and_seeds())
     @pytest.mark.parametrize("path", PATHS)
     def test_fresh_run_matches_oracle_by_generation(self, path, case):
         g, seeds, r = case
-        res = on_path(path, g, r).add_seeds(seeds).result()
+        with engine_path(path):
+            res = on_path(path, g, r).add_seeds(seeds).result()
         gen_oracle, tau_oracle = naive_percolate(graph_adjacency(g), seeds, r)
         assert res.tau == tau_oracle
         assert res.generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(g.vertex_count)]
@@ -439,12 +478,45 @@ class TestPercolator:
 
     @pytest.mark.parametrize("path", PATHS)
     def test_rejects_bad_seed_and_threshold(self, path, c4):
-        with pytest.raises(ValueError, match="seed id 4 out of range"):
-            on_path(path, c4, 2).add_seeds([0, 4])
-        with pytest.raises(ValueError, match="seed id -1 out of range"):
-            on_path(path, c4, 2).add_seeds([-1, 4])
+        with engine_path(path):
+            with pytest.raises(ValueError, match="seed id 4 out of range"):
+                on_path(path, c4, 2).add_seeds([0, 4])
+            with pytest.raises(ValueError, match="seed id -1 out of range"):
+                on_path(path, c4, 2).add_seeds([-1, 4])
         with pytest.raises(ValueError):
             Percolator(c4, 1)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_rejects_seeds_that_are_not_integers(self, path, c4):
+        with engine_path(path):
+            for seeds, shown in (
+                ([1.5, 3.2], "1.5"),
+                (np.array([1.5, 3.2]), "1.5"),
+                ([0, np.float64(2.0)], "2.0"),
+                (["1"], "'1'"),
+                ((v for v in [0, 2.0]), "2.0"),
+            ):
+                with pytest.raises(ValueError, match=f"seed id {shown} is not an integer"):
+                    on_path(path, c4, 2).add_seeds(seeds)
+            for seeds in ([np.int32(0), np.uint8(2)], np.array([0, 2], dtype=np.uint16), (0, 2)):
+                assert on_path(path, c4, 2).add_seeds(seeds).contagious
+        with pytest.raises(ValueError, match="seed id 1.5 is not an integer"):
+            percolate(c4, [1.5, 3.2], 2)
+
+    def test_switch_mid_run(self):
+        # 0 and 1 feed 2 and 3 inside a K8 on 2..9: the seed wave spans 4
+        # entries and stays sparse; the next, over rows of degree 9, does not.
+        edges = [(a, b) for a in range(2, 10) for b in range(a + 1, 10)]
+        g = Graph.from_edges(10, edges + [(0, 2), (0, 3), (1, 2), (1, 3)])
+        with engine_path("switch"):
+            state = on_path("switch", g, 2).add_seeds([0])
+            assert type(state._generation) is dict
+            child = state.copy().add_seeds([1])
+            assert type(child._generation) is np.ndarray
+        assert type(state._generation) is dict and state.active_count == 1
+        assert child.result().generation.tolist() == [0, 0, 1, 1, 2, 2, 2, 2, 2, 2]
+        assert child.result().per_round_counts == (2, 6)
+        validate_result(g, child.result())
 
     def test_result_is_a_snapshot(self, c4):
         state = Percolator(c4, 2).add_seeds([0])
