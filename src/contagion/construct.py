@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, connected_components, gather_rows, is_connected
+from .graph import Graph, connected_components, count_by_vertex, gather_rows, is_connected
 from .percolation import NEVER, PercolationResult, Percolator, mandatory_seeds, percolate
 
 __all__ = [
@@ -205,8 +205,7 @@ def _staged_construct(graph, r, d, c_seed, initial_target):
         # Eligible vertices: r - 1 or more neighbors landing in the previous
         # block's kept core, and not consumed by any earlier block.
         if c_prev.size:
-            nbrs = gather_rows(graph, c_prev)
-            cand, counts = np.unique(nbrs, return_counts=True)
+            cand, counts = count_by_vertex(gather_rows(graph, c_prev), n)
             eligible = cand[(counts >= r - 1) & ~used[cand]]
         else:
             eligible = np.empty(0, dtype=np.int64)

@@ -3,8 +3,9 @@
 A vertex activates in round g when at least r of its neighbors were active
 after round g - 1; seeds are active in round 0 and nothing ever deactivates.
 The one engine, ``Percolator``, keeps a per-vertex count of active neighbors
-and only ever touches the frontier's adjacency rows, so a full run costs
-O(n + m), and a run that stalls after a few activations costs about what
+and steps each round as one wave (on its array path a wave of ``graph.spread``,
+which pushes or pulls and stops once every vertex is active), so a full run
+costs O(n + m), and a run that stalls after a few activations costs about what
 it touched.  It can resume: seeds added to a state at fixation spread from
 there, so a caller that grows a seed set one vertex at a time pays for the
 new activations only.  ``percolate`` runs a fresh state once.
@@ -18,12 +19,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph, gather_rows, vertex_ids
+from .graph import UNREACHED, Graph, spread, vertex_ids
 
 __all__ = ["NEVER", "PercolationResult", "Percolator", "percolate", "mandatory_seeds", "validate_result"]
 
 # Generation value for vertices the process never reaches; JSON uses null.
-NEVER = -1
+NEVER = UNREACHED
 
 # Up to this many vertices the plain-Python path beats numpy call overhead,
 # which matters for the exact solver's thousands of closure computations.
@@ -90,7 +91,8 @@ class Percolator:
     keyed by vertex and steps each wave one adjacency row at a time, so a run
     that stalls early costs what it touched, not O(n); the first time a wave
     (the seed batch counts as one) spans more than ``_SPARSE_ENTRIES``
-    entries, the state moves to numpy arrays and whole-wave numpy steps.
+    entries, the state moves to numpy arrays and the push/pull waves of
+    ``graph.spread``, where ``hits`` is exact for inactive vertices only.
     """
 
     __slots__ = ("graph", "r", "active_count", "_small", "_generation", "_hits", "_seeds",
@@ -202,20 +204,11 @@ class Percolator:
             frontier = newly
 
     def _spread_numpy(self, frontier: np.ndarray) -> None:
-        generation, hits = self._generation, self._hits
-        while frontier.size:
-            nbrs = gather_rows(self.graph, frontier)
-            if nbrs.size == 0:
-                break
-            cand, counts = np.unique(nbrs, return_counts=True)
-            hits[cand] += counts
-            newly = cand[(hits[cand] >= self.r) & (generation[cand] == NEVER)]
-            if newly.size == 0:
-                break
-            self._per_round.append(int(newly.size))
-            generation[newly] = len(self._per_round)
-            self.active_count += int(newly.size)
-            frontier = newly.astype(np.int64)
+        left = self.graph.vertex_count - self.active_count
+        waves = spread(self.graph, self._generation, frontier, left, self.r, self._hits,
+                       len(self._per_round))
+        self._per_round.extend(wave.size for wave in waves)
+        self.active_count += sum(wave.size for wave in waves)
 
     def _spread_python(self, frontier: list[int]) -> None:
         adjacency, r, g, mask = self.graph.adjacency, self.r, len(self._per_round), self._mask

@@ -9,11 +9,47 @@ themselves.
 from __future__ import annotations
 
 import itertools
+import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from contagion import Graph, GraphFormatError
+from contagion import graph as graph_module
+
+# Push/pull rules of graph.spread, as (_PULL_SCAN, _PULL_COST): the package's
+# own; every wave pushes; every wave whose push would gather anything pulls.
+WAVE_RULES = {
+    "auto": (graph_module._PULL_SCAN, graph_module._PULL_COST),
+    "push": (math.inf, 1.0),
+    "pull": (-1.0, 0.0),
+}
+
+
+@contextmanager
+def wave_rule(rule):
+    """Run every wave of graph.spread by the given rule."""
+    scan, cost = WAVE_RULES[rule]
+    with mock.patch.object(graph_module, "_PULL_SCAN", scan), \
+            mock.patch.object(graph_module, "_PULL_COST", cost):
+        yield
+
+
+@contextmanager
+def gathered():
+    """Record how many adjacency entries each row gather in graph returns."""
+    sizes = []
+    real = graph_module._gather
+
+    def spy(*args):
+        rows = real(*args)
+        sizes.append(rows.size)
+        return rows
+
+    with mock.patch.object(graph_module, "_gather", spy):
+        yield sizes
 
 
 def adjacency_sets(edges, n):

@@ -27,13 +27,16 @@ from contagion import (
 
 from contagion import graph as graph_module
 from conftest import (
+    WAVE_RULES,
     adjacency_sets,
+    gathered,
     naive_components,
     naive_induced_edges,
     random_graph_edges,
     reference_csr,
     reference_from_edges,
     reference_load_edge_list,
+    wave_rule,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -120,6 +123,16 @@ class TestGatherRows:
         verts = np.array([4, 0, 4], dtype=np.int64)
         flat = gather_rows(k4_iso, verts)
         assert flat.tolist() == [1, 2, 3]
+
+
+class TestCountByVertex:
+    @pytest.mark.parametrize("size", [0, 7, 50, 51, 400])
+    def test_matches_unique_on_both_sides_of_n(self, size):
+        ids = np.random.default_rng(size).integers(0, 50, size=size).astype(np.int32)
+        got_ids, got_counts = graph_module.count_by_vertex(ids, 50)
+        want_ids, want_counts = np.unique(ids, return_counts=True)
+        assert got_ids.tolist() == want_ids.tolist()
+        assert got_counts.tolist() == want_counts.tolist()
 
 
 class TestSampler:
@@ -230,6 +243,27 @@ class TestComponents:
         sub = rng.choice(n, size=50, replace=False)
         got = connected_components(g, restrict=sub)
         assert got == naive_components(adj, restrict=sub.tolist())
+
+    @pytest.mark.parametrize("rule", WAVE_RULES)
+    def test_excluded_vertex_never_counts_as_reached(self, rule):
+        # 4 lies outside the restriction and neighbours 0, 1 and 2; a pull
+        # from {0, 3} must not count it as reached and join 1 and 2.
+        g = Graph.from_edges(5, [(0, 4), (1, 4), (2, 4), (0, 3)])
+        with wave_rule(rule):
+            assert connected_components(g, restrict=[0, 1, 2, 3]) == [[0, 3], [1], [2]]
+            assert connected_components(g, restrict=[1, 2, 4]) == [[1, 2, 4]]
+            assert is_connected(g)
+
+    @pytest.mark.parametrize("rule", ["auto", "push"])
+    def test_is_connected_stops_once_all_reached(self, rule):
+        # A hub on a 40-cycle: its first wave reaches every vertex, so the
+        # cycle's rows are never gathered.
+        k = 40
+        cycle = [(v, v + 1) for v in range(1, k)] + [(1, k)]
+        g = Graph.from_edges(k + 1, [(0, v) for v in range(1, k + 1)] + cycle)
+        with wave_rule(rule), gathered() as sizes:
+            assert is_connected(g)
+        assert sizes == [k]
 
     def test_python_int_contents(self, k4_iso):
         comps = connected_components(k4_iso)
@@ -520,6 +554,20 @@ class TestGraphProperties:
         assert sorted(flat) == list(range(g.vertex_count))
         sizes = [len(c) for c in comps]
         assert sizes == sorted(sizes, reverse=True)
+
+    @PROPERTY_SETTINGS
+    @given(params=small_gnp(), data=st.data())
+    @pytest.mark.parametrize("rule", ["push", "pull"])
+    def test_components_match_oracle_on_forced_waves(self, rule, params, data):
+        g = sample_gnp(params)
+        n = g.vertex_count
+        adj = adjacency_sets(list(g.edges()), n)
+        restrict = data.draw(st.none() | st.sets(st.integers(0, n - 1), max_size=n))
+        with wave_rule(rule):
+            got = connected_components(g, restrict)
+            connected = is_connected(g)
+        assert got == naive_components(adj, restrict)
+        assert connected == (len(naive_components(adj)) <= 1)
 
     @PROPERTY_SETTINGS
     @given(params=small_gnp())

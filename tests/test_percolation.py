@@ -24,17 +24,27 @@ from contagion import (
 )
 from contagion import percolation as percolation_module
 
-from conftest import adjacency_sets, complete_graph, naive_percolate, random_graph_edges
+from conftest import (
+    adjacency_sets,
+    complete_graph,
+    gathered,
+    naive_percolate,
+    random_graph_edges,
+    wave_rule,
+)
 
-# Engine paths, as (_SMALL_N, _SPARSE_ENTRIES): the list path; the numpy path
-# at its own switch point; kept sparse; moved to arrays at its first wave; and
-# moved mid-run, once a wave spans more than 4 adjacency entries.
+# Engine paths, as (_SMALL_N, _SPARSE_ENTRIES, wave rule): the list path; the
+# numpy path at its own switch point; kept sparse; moved to arrays at its first
+# wave; moved mid-run, once a wave spans more than 4 adjacency entries; and
+# moved at once with every array wave a push, or every one a pull.
 PATH_LIMITS = {
-    "python": (10**9, 0),
-    "numpy": (-1, percolation_module._SPARSE_ENTRIES),
-    "sparse": (-1, 10**9),
-    "dense": (-1, 0),
-    "switch": (-1, 4),
+    "python": (10**9, 0, "auto"),
+    "numpy": (-1, percolation_module._SPARSE_ENTRIES, "auto"),
+    "sparse": (-1, 10**9, "auto"),
+    "dense": (-1, 0, "auto"),
+    "switch": (-1, 4, "auto"),
+    "push": (-1, 0, "push"),
+    "pull": (-1, 0, "pull"),
 }
 PATHS = tuple(PATH_LIMITS)
 
@@ -42,9 +52,9 @@ PATHS = tuple(PATH_LIMITS)
 @contextmanager
 def engine_path(path):
     """Run the engine on the given path, whatever the graph's size."""
-    small_n, entries = PATH_LIMITS[path]
+    small_n, entries, rule = PATH_LIMITS[path]
     with mock.patch.object(percolation_module, "_SMALL_N", small_n), \
-            mock.patch.object(percolation_module, "_SPARSE_ENTRIES", entries):
+            mock.patch.object(percolation_module, "_SPARSE_ENTRIES", entries), wave_rule(rule):
         yield
 
 
@@ -390,6 +400,16 @@ def snapshot(res):
     return (res.generation.tolist(), res.per_round_counts, res.seeds, res.active_count, res.tau)
 
 
+def assert_hits_exact(state):
+    """Every inactive vertex's ``hits`` is its number of active neighbours."""
+    gen = state.result().generation
+    hits = state._hits
+    for v, row in enumerate(state.graph.adjacency):
+        if gen[v] == NEVER:
+            held = hits.get(v, 0) if type(hits) is dict else hits[v]
+            assert held == sum(gen[u] != NEVER for u in row), v
+
+
 def resumed_oracle(adj, batches, r):
     """The rescan oracle run batch by batch, numbering rounds on across batches."""
     gen, rounds = {}, 0
@@ -420,6 +440,7 @@ class TestPercolator:
         assert state.contagious == (len(gen_oracle) == g.vertex_count)
         assert state.active_mask == sum(1 << v for v in gen_oracle)
         assert all(state.is_active(v) == (v in gen_oracle) for v in range(g.vertex_count))
+        assert_hits_exact(state)
         # Rounds numbered on across batches still obey the activation rule.
         validate_result(g, res)
 
@@ -462,6 +483,8 @@ class TestPercolator:
         assert parent.result().generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(g.vertex_count)]
         gen_child = resumed_oracle(adj, [first, extra], r)
         assert child.result().generation.tolist() == [gen_child.get(v, NEVER) for v in range(g.vertex_count)]
+        assert_hits_exact(parent)
+        assert_hits_exact(child)
         validate_result(g, child.result())
 
     @PROPERTY_SETTINGS
@@ -517,6 +540,34 @@ class TestPercolator:
         assert child.result().generation.tolist() == [0, 0, 1, 1, 2, 2, 2, 2, 2, 2]
         assert child.result().per_round_counts == (2, 6)
         validate_result(g, child.result())
+
+    @pytest.mark.parametrize("path", ["dense", "push"])
+    def test_stops_once_all_active(self, path):
+        # Seeds 0 and 1 see every vertex of a 40-cycle: the first wave
+        # activates them all, so the cycle's rows are never gathered.
+        k = 40
+        cycle = [(v, v + 1) for v in range(2, k + 1)] + [(2, k + 1)]
+        g = Graph.from_edges(k + 2, [(s, v) for s in (0, 1) for v in range(2, k + 2)] + cycle)
+        with engine_path(path), gathered() as sizes:
+            res = on_path(path, g, 2).add_seeds([0, 1]).result()
+        assert res.contagious and res.per_round_counts == (k,)
+        assert sizes == [2 * k]
+
+    def test_pull_waves_resume_and_copy(self):
+        g = sample_gnp(GnpParams(300, 0.02, 3))
+        batches = [[0, 1, 2], [5, 7], list(range(10, 40, 3))]
+        with engine_path("pull"), gathered() as sizes:
+            state = on_path("pull", g, 2).add_seeds(batches[0])
+            child = state.copy().add_seeds(batches[2])
+            state.add_seeds(batches[1])
+            # the first wave pulls: it gathers the rows of every vertex but the seeds
+            assert sizes[0] == g.degrees.sum() - g.degrees[batches[0]].sum()
+        adj = graph_adjacency(g)
+        for got, batch_list in ((state, batches[:2]), (child, [batches[0], batches[2]])):
+            gen_oracle = resumed_oracle(adj, batch_list, 2)
+            assert got.result().generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(300)]
+            assert_hits_exact(got)
+            validate_result(g, got.result())
 
     def test_result_is_a_snapshot(self, c4):
         state = Percolator(c4, 2).add_seeds([0])
