@@ -342,6 +342,12 @@ class TupleSearchParams:
         )
 
 
+# Iterations a k_target = r + 1 search draws and scores in one numpy pass.  On
+# the searches of one threshold round at n = 20000, caps of 128 to 512 took the
+# same time within noise; 64 and 1024 were slower.
+_BATCH = 256
+
+
 def search_minimal_tuple(
     graph: Graph, params: TupleSearchParams
 ) -> tuple[frozenset[int], PercolationResult] | None:
@@ -353,67 +359,91 @@ def search_minimal_tuple(
     neighbors among the chosen (the smallest such id in its block is taken).
     A completed chain is judged by a fresh, sparse-first ``Percolator`` from
     the r initial vertices; a contagious run is returned, anything else dumps
-    the used vertices from the pool and iterates.  One count list per graph,
-    reset through the rows each iteration touched, keeps an iteration at
-    O(chain degree), not O(n).  Returns None when the iteration budget or
-    the pool runs out.
+    the used vertices from the pool and iterates.  Returns None when the
+    iteration budget or the pool runs out.
+
+    With k_target = r + 1 (no shuffle) up to ``_BATCH`` iterations run as one
+    batch: their draws come from one ``rng.integers(size=m)`` call, which
+    yields the values of m scalar draws, and one sort of the keys
+    ``iteration * n + w`` over the chosen rows finds every iteration's common
+    neighbours.  The iterations with a candidate are then handled in order;
+    when an extension was drawn by a later iteration of the batch, the batch is
+    cut back to that iteration and its draws are replayed in the next, so the
+    finds are those of the one-iteration-at-a-time search.  With k_target >= r + 2 a batch is one
+    iteration and draws nothing ahead of its shuffle.
     """
     n = graph.vertex_count
     r, k = params.r, params.k_target
     if n < k:
         raise ValueError("graph smaller than k_target")
     rng = np.random.Generator(np.random.PCG64(params.rng_seed))
-    indptr, indices = graph.indptr, graph.indices
-    in_pool = bytearray(b"\x01") * n
+    pool = np.ones(n, dtype=bool)
     pool_size = n
-    counts = [0] * n
     num_blocks = k - r
     block_of = np.full(n, -1, dtype=np.int64) if num_blocks > 1 else None
+    draws, done = np.empty(0, dtype=np.int64), 0
 
-    for _ in range(params.max_iterations):
-        if pool_size < k:
-            break
-        chosen, rows = [], []  # the chain, and the rows its count updates touched
-        ready: list[int] = []  # vertices with r chosen neighbors
-
-        def bump(u: int) -> None:
-            row = indices[indptr[u] : indptr[u + 1]].tolist()
-            rows.append(row)
-            for w in row:
-                c = counts[w] + 1
-                counts[w] = c
-                if c == r:
-                    ready.append(w)
-
-        while len(chosen) < r:
-            v = int(rng.integers(0, n))
-            if in_pool[v]:
-                in_pool[v] = 0
-                pool_size -= 1
-                chosen.append(v)
-                bump(v)
-        if num_blocks > 1:
-            perm = rng.permutation(np.flatnonzero(np.frombuffer(in_pool, dtype=np.uint8)))
+    while done < params.max_iterations and pool_size >= k:
+        # An iteration takes at most k vertices, so none in the batch finds fewer than k.
+        size = min(params.max_iterations - done, pool_size // k, _BATCH if num_blocks == 1 else 1)
+        while True:  # a draw is taken if its vertex is in the pool and not drawn before it
+            first = np.zeros(draws.size, dtype=bool)
+            first[np.unique(draws, return_index=True)[1]] = True
+            taken = np.flatnonzero(first & pool[draws])
+            need = r * size - taken.size
+            if need <= 0:
+                break
+            if num_blocks == 1:  # expected draws for the rest of the batch
+                need = need * n // (pool_size - taken.size) + r
+            draws = np.concatenate([draws, rng.integers(0, n, size=need)])
+        taken = taken[: r * size]
+        rows = draws[taken]
+        pool[rows] = False
+        pool_size -= rows.size
+        chain = rows.tolist()
+        chosen_at = dict(zip(chain, (np.arange(rows.size) // r).tolist()))
+        starts = [0, *(taken[r - 1 : -1 : r] + 1).tolist()]  # each iteration's first draw
+        pos = int(taken[-1]) + 1
+        if block_of is not None:
+            perm = rng.permutation(np.flatnonzero(pool))
             block_of[perm] = np.arange(perm.size, dtype=np.int64) % num_blocks
 
-        for j in range(r + 1, k + 1):
-            block = j - r - 1
-            best = min(
-                (v for v in ready if in_pool[v] and (block_of is None or block_of[v] == block)),
-                default=None,
-            )
-            if best is None:
+        keys = gather_rows(graph, rows).astype(np.int64)
+        keys += np.repeat(np.arange(rows.size, dtype=np.int64) // r * n, graph.degrees[rows])
+        keys.sort()
+        end, last = size, -1
+        common = keys[r - 1 :]  # keys met r times: each row holds a vertex at most once
+        for key in common[common == keys[: common.size]].tolist():
+            i, w = divmod(key, n)  # w neighbours all r chosen of iteration i
+            if i >= end:
                 break
-            in_pool[best] = 0
+            if i == last or not (pool[w] or i < chosen_at.get(w, -1) < end):
+                continue
+            if block_of is not None and block_of[w] != 0:
+                continue
+            last = i
+            j = chosen_at.get(w, end)
+            if j < end:  # iteration j drew w, which leaves the pool first: replay from j
+                pool[rows[r * j : r * end]] = True
+                pool_size += r * (end - j)
+                end, pos = j, starts[j]
+            seeds = chain[r * i : r * i + r]
+            extended = [w]
+            pool[w] = False
             pool_size -= 1
-            chosen.append(best)
-            if j < k:  # nothing reads the counts after the last extension
-                bump(best)
-        else:
-            state = Percolator(graph, r).add_seeds(chosen[:r])
-            if state.contagious:
-                return frozenset(chosen[:r]), state.result()
-        for row in rows:
-            for w in row:
-                counts[w] = 0
+            for block in range(1, num_blocks):
+                ids, counts = count_by_vertex(gather_rows(graph, np.asarray(seeds + extended)), n)
+                ready = ids[counts >= r]
+                ready = ready[pool[ready] & (block_of[ready] == block)]
+                if not ready.size:
+                    break
+                extended.append(int(ready[0]))
+                pool[extended[-1]] = False
+                pool_size -= 1
+            else:
+                state = Percolator(graph, r).add_seeds(seeds)
+                if state.contagious:
+                    return frozenset(seeds), state.result()
+        done += end
+        draws = draws[pos:]
     return None

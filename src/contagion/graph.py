@@ -238,16 +238,26 @@ def _gather(indices, starts, sizes, ends) -> np.ndarray:
     return indices[idx]
 
 
-def count_by_vertex(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def count_by_vertex(ids: np.ndarray, n: int, counts: bool = True):
     """The distinct ids of ``ids`` in increasing order, and how often each occurs.
+
+    The counts are None unless ``counts``.  Without them a sort and one compare
+    take 5.6 us on 5 ids and 10 us on 1000, against 13.5 and 22 us for
+    ``np.unique(return_counts=True)``; a bare ``np.unique`` took 110 us on 1000
+    ids on numpy 2.4, which then hashes instead of sorting.
 
     Past n ids an n-slot ``np.bincount`` beats the sort (measured at n = 20000, 200000).
     """
     if ids.size <= n:
-        return np.unique(ids, return_counts=True)
-    counts = np.bincount(ids, minlength=n)
-    distinct = np.flatnonzero(counts)
-    return distinct, counts[distinct]
+        if counts:
+            return np.unique(ids, return_counts=True)
+        ids = np.sort(ids)
+        first = np.ones(ids.size, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        return ids[first], None
+    tally = np.bincount(ids, minlength=n)
+    distinct = np.flatnonzero(tally)
+    return distinct, tally[distinct] if counts else None
 
 
 # Label of a vertex that a run of ``spread`` may still reach.
@@ -289,7 +299,8 @@ def spread(graph: Graph, label: np.ndarray, frontier: np.ndarray, left: int,
             nbrs = nbrs[label[nbrs] == UNREACHED]
             if not nbrs.size:
                 break
-            cand, counts = count_by_vertex(nbrs, n)
+            # At threshold 1 with no hits to keep, every unreached end is reached.
+            cand, counts = count_by_vertex(nbrs, n, counts=r > 1 or hits is not None)
             if hits is not None:
                 counts += hits[cand]
         else:
@@ -298,7 +309,7 @@ def spread(graph: Graph, label: np.ndarray, frontier: np.ndarray, left: int,
             cand, counts = unreached, np.diff(reached[pull[2]], prepend=0)
         if hits is not None:
             hits[cand] = counts
-        frontier = cand[counts >= r]
+        frontier = cand if counts is None else cand[counts >= r]
         if not frontier.size:
             break
         wave += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -80,6 +81,50 @@ def naive_percolate(adj, seeds, r):
         for v in newly:
             gen[v] = t
         active |= newly
+
+
+def naive_tuple_search(graph, r, k, budget, seed, judged=None):
+    """Reference tuple search: one iteration at a time, scalar draws, a Counter per chain.
+
+    Returns (sorted tuple, tau, per_round_counts) of the first contagious chain,
+    judged by ``naive_percolate``, or None when the budget or the pool runs out.
+    The r initial vertices of every judged chain are appended to ``judged``.
+    """
+    n = graph.vertex_count
+    adj = graph.adjacency
+    adj_sets = {v: set(row) for v, row in enumerate(adj)}
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pool = set(range(n))
+    for _ in range(budget):
+        if len(pool) < k:
+            return None
+        chosen = []
+        while len(chosen) < r:
+            v = int(rng.integers(0, n))
+            if v in pool:
+                pool.remove(v)
+                chosen.append(v)
+        block_of = {}
+        if k - r > 1:  # round-robin blocks over a shuffle of the pool in id order
+            perm = rng.permutation(np.array(sorted(pool), dtype=np.int64)).tolist()
+            block_of = {v: i % (k - r) for i, v in enumerate(perm)}
+        counts = Counter(w for v in chosen for w in adj[v])
+        for block in range(k - r):
+            ready = [w for w, c in counts.items()
+                     if c >= r and w in pool and block_of.get(w, 0) == block]
+            if not ready:
+                break
+            pool.remove(min(ready))
+            chosen.append(min(ready))
+            counts.update(adj[chosen[-1]])
+        else:
+            if judged is not None:
+                judged.append(chosen[:r])
+            gen, tau = naive_percolate(adj_sets, chosen[:r], r)
+            if len(gen) == n:
+                per_round = Counter(gen.values())
+                return sorted(chosen[:r]), tau, tuple(per_round[t] for t in range(1, tau + 1))
+    return None
 
 
 def naive_components(adj, restrict=None):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from contagion import (
 )
 
 from contagion import construct as construct_module
-from conftest import complete_graph
+from contagion import percolation as percolation_module
+from conftest import complete_graph, naive_tuple_search
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -353,3 +355,92 @@ class TestTupleSearch:
         assert search(10 * iterations) == expected
         if iterations > 1:  # one iteration short, the budget runs out
             assert search(iterations - 1) is None
+
+
+def near_threshold_graph(n, r, mult, seed):
+    """G(n, p) at ``mult`` times the scale (n log^{r-1} n)^{-1/r} of the second theorem."""
+    return sample_gnp(GnpParams(n, min(1.0, mult * (n * math.log(n) ** (r - 1)) ** (-1 / r)), seed))
+
+
+def batched_search(graph, r, k, budget, seed, judged):
+    """The package's search; the r initial vertices of each judged chain go to ``judged``."""
+
+    class Spy(construct_module.Percolator):
+        def add_seeds(self, seeds):
+            judged.append(list(seeds))
+            return super().add_seeds(seeds)
+
+    with mock.patch.object(construct_module, "Percolator", Spy):
+        found = search_minimal_tuple(
+            graph, TupleSearchParams(r=r, k_target=k, max_iterations=budget, rng_seed=seed)
+        )
+    if found is None:
+        return None
+    seeds, res = found
+    assert res.seeds == seeds and res.contagious
+    return sorted(seeds), res.tau, res.per_round_counts
+
+
+class TestBatchedTupleSearch:
+    @pytest.mark.parametrize("n", [2, 20000, 2**40])
+    def test_array_draws_equal_scalar_draws(self, n):
+        # The search draws a batch's integers ahead in one call; its finds equal
+        # those of scalar draws only while these agree, however the calls split.
+        def rng():
+            return np.random.Generator(np.random.PCG64(3))
+
+        scalar = rng()
+        want = [int(scalar.integers(0, n)) for _ in range(200)]
+        assert rng().integers(0, n, size=200).tolist() == want
+        split = rng()
+        assert split.integers(0, n, size=77).tolist() + split.integers(0, n, size=123).tolist() == want
+
+    @given(
+        r=st.sampled_from([2, 3, 4]),
+        extra=st.sampled_from([1, 2]),
+        small=st.booleans(),
+        size=st.integers(0, 127),
+        mult=st.sampled_from([0.7, 1.0, 1.5, 3.0]),
+        graph_seed=st.integers(0, 10**6),
+        search_seed=st.integers(0, 10**6),
+        budget=st.integers(1, 400),
+        batch=st.sampled_from([1, 3, 256]),
+    )
+    @PROPERTY_SETTINGS
+    def test_matches_one_iteration_oracle(
+        self, r, extra, small, size, mult, graph_seed, search_seed, budget, batch
+    ):
+        # Graphs on both sides of _SMALL_N; batches of 1 and 3 end most budgets
+        # mid-batch, and budgets past n / k empty the pool.
+        k = r + extra
+        n = k + size if small else percolation_module._SMALL_N + 1 + size
+        g = near_threshold_graph(n, r, mult, graph_seed)
+        got, want = [], []
+        with mock.patch.object(construct_module, "_BATCH", batch):
+            found = batched_search(g, r, k, budget, search_seed, got)
+        assert found == naive_tuple_search(g, r, k, budget, search_seed, want)
+        assert got == want  # the same chains judged, in the same order
+
+    @pytest.mark.parametrize(
+        "n, graph_seed, found",
+        [(300, 1, False), (700, 2, True)],
+    )
+    def test_rollback_replays_to_oracle(self, n, graph_seed, found):
+        # An extension that a later iteration of the batch had drawn sends the
+        # batch back to that iteration: its draws, and the vertices they chose,
+        # are scored again in the next batch.
+        g = near_threshold_graph(n, 2, 1.0, graph_seed)
+        scored = []
+        real = construct_module.gather_rows
+
+        def spy(graph, rows):
+            scored.extend(rows.tolist())
+            return real(graph, rows)
+
+        got, want = [], []
+        with mock.patch.object(construct_module, "gather_rows", spy):
+            result = batched_search(g, 2, 3, n, 7, got)
+        assert len(scored) > len(set(scored))  # some vertex chosen in two batches
+        assert (result is not None) == found
+        assert result == naive_tuple_search(g, 2, 3, n, 7, want)
+        assert got == want
