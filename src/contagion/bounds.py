@@ -10,12 +10,12 @@ edges.  A sparse subgraph on that prefix refutes the trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .graph import Graph, induced_edge_count
-from .percolation import PercolationResult
+from .percolation import PercolationResult, checked_threshold
 
 __all__ = [
     "DensityWitnessReport",
@@ -41,13 +41,7 @@ class DensityWitnessReport:
         return self.edges_found >= self.edges_required
 
     def to_json_dict(self) -> dict:
-        return {
-            "t0": self.t0,
-            "t": self.t,
-            "edges_found": self.edges_found,
-            "edges_required": self.edges_required,
-            "holds": self.holds,
-        }
+        return {**asdict(self), "holds": self.holds}
 
 
 def density_witness(graph: Graph, result: PercolationResult, t: int) -> DensityWitnessReport:
@@ -87,9 +81,7 @@ def critical_random_seed_size(n: int, p: float, r: int) -> float:
         raise ValueError("n must be positive")
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie strictly between 0 and 1")
-    if int(r) != r or r < 2:
-        raise ValueError("r must be an integer >= 2")
-    r = int(r)
+    r = checked_threshold(r)
     return (1.0 - 1.0 / r) * (math.factorial(r - 1) / (n * p**r)) ** (1.0 / (r - 1))
 
 

@@ -22,12 +22,7 @@ from pathlib import Path
 
 from .construct import StageParams, construct_contagious
 from .exact import DEFAULT_NODE_BUDGET, min_contagious_exact
-from .experiments import (
-    MODES,
-    ExperimentConfig,
-    render_output,
-    run_experiment,
-)
+from .experiments import MODES, ExperimentConfig, render_output, run_experiment
 from .graph import GnpParams, GraphFormatError, load_edge_list, sample_gnp, save_edge_list
 from .percolation import percolate, validate_result
 
@@ -37,25 +32,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _seed_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated vertex ids, got {text!r}")
+def _comma_list(kind, what: str):
+    """An argparse type: comma-separated ``kind`` values as a tuple, or an error naming ``what``."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(",") if part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parse
 
 
 def _gnp_params(args) -> GnpParams:
@@ -192,40 +176,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     perc = sub.add_parser("percolate", help="run the activation process on a graph file")
     perc.add_argument("--graph", required=True)
-    perc.add_argument("--seeds", type=_seed_list, required=True)
+    perc.add_argument("--seeds", type=_comma_list(int, "vertex ids"), required=True)
     perc.add_argument("--r", type=int, default=2)
     perc.add_argument("--out")
     perc.set_defaults(func=_cmd_percolate)
 
-    cons = sub.add_parser("construct", help="build a verified contagious set")
-    cons.add_argument("--graph")
-    cons.add_argument("--n", type=int)
-    cons.add_argument("--p", type=float)
-    cons.add_argument("--d", type=float)
-    cons.add_argument("--seed", type=int, default=0)
-    cons.add_argument("--r", type=int, default=2)
+    # construct and solve take a graph file or the G(n, p) flags
+    one_graph = argparse.ArgumentParser(add_help=False)
+    one_graph.add_argument("--graph")
+    one_graph.add_argument("--n", type=int)
+    one_graph.add_argument("--p", type=float)
+    one_graph.add_argument("--d", type=float)
+    one_graph.add_argument("--seed", type=int, default=0)
+    one_graph.add_argument("--r", type=int, default=2)
+
+    cons = sub.add_parser("construct", parents=[one_graph], help="build a verified contagious set")
     cons.add_argument("--d0-min", dest="d0_min", type=float)
     cons.add_argument("--c-seed", dest="c_seed", type=float)
     cons.add_argument("--trace", action="store_true", help="include the full trace")
     cons.add_argument("--out")
     cons.set_defaults(func=_cmd_construct)
 
-    solve = sub.add_parser("solve", help="exact minimum contagious set (small graphs)")
-    solve.add_argument("--graph")
-    solve.add_argument("--n", type=int)
-    solve.add_argument("--p", type=float)
-    solve.add_argument("--d", type=float)
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--r", type=int, default=2)
+    solve = sub.add_parser(
+        "solve", parents=[one_graph], help="exact minimum contagious set (small graphs)")
     solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     solve.add_argument("--out")
     solve.set_defaults(func=_cmd_solve)
 
+    ints, floats = _comma_list(int, "integers"), _comma_list(float, "numbers")
     for mode in MODES:
         batch = sub.add_parser(mode, help=f"batch mode: {mode}")
-        batch.add_argument("--n", dest="n_list", type=_int_list, help="comma-separated n values")
-        batch.add_argument("--d", dest="d_list", type=_float_list, help="comma-separated mean degrees")
-        batch.add_argument("--p", dest="p_list", type=_float_list, help="comma-separated probabilities")
+        batch.add_argument("--n", dest="n_list", type=ints, help="comma-separated n values")
+        batch.add_argument("--d", dest="d_list", type=floats, help="comma-separated mean degrees")
+        batch.add_argument("--p", dest="p_list", type=floats, help="comma-separated probabilities")
         batch.add_argument("--r", type=int)
         batch.add_argument("--trials", type=int)
         batch.add_argument("--seed", dest="master_seed", type=int, help="master seed")

@@ -19,12 +19,13 @@ silent result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .graph import Graph, connected_components, count_by_vertex, gather_rows, is_connected
-from .percolation import NEVER, PercolationResult, Percolator, mandatory_seeds, percolate
+from .percolation import (
+    NEVER, PercolationResult, Percolator, checked_threshold, mandatory_seeds, percolate)
 
 __all__ = [
     "StageParams",
@@ -56,8 +57,7 @@ class StageParams:
     c_seed: float | None = None
 
     def __post_init__(self) -> None:
-        if int(self.r) != self.r or self.r < 2:
-            raise ValueError("threshold r must be an integer >= 2")
+        checked_threshold(self.r)
         if self.d0_min < 0:
             raise ValueError("d0_min must be nonnegative")
         if self.c_seed is not None and self.c_seed <= 0:
@@ -88,22 +88,6 @@ class IterationRecord:
     failed: bool
     reason: str | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "s_target": self.s_target,
-            "s_i": self.s_i,
-            "b_target": self.b_target,
-            "b_i": self.b_i,
-            "x_i": self.x_i,
-            "y_i": self.y_i,
-            "selected_components": self.selected_components,
-            "d_i": self.d_i,
-            "c_i": self.c_i,
-            "failed": self.failed,
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class ConstructionTrace:
@@ -125,16 +109,9 @@ class ConstructionTrace:
     result: PercolationResult | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "d": self.d,
-            "initial_block": self.initial_block,
-            "iterations": [rec.to_json_dict() for rec in self.iterations],
-            "a01": self.a01,
-            "a02": self.a02,
-            "final_seeds": self.final_seeds,
-            "fallback_used": self.fallback_used,
-        }
+        data = asdict(replace(self, result=None))
+        del data["result"]
+        return data
 
 
 def construct_contagious(
@@ -312,34 +289,26 @@ class TupleSearchParams:
 
     r: int = 2
     k_target: int = 3
-    c1: float = 0.1
     max_iterations: int = 1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.r) != self.r or self.r < 2:
-            raise ValueError("threshold r must be an integer >= 2")
+        checked_threshold(self.r)
         if self.k_target < self.r + 1:
             raise ValueError("k_target must be at least r + 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
 
     @classmethod
     def for_graph(
         cls, n: int, r: int = 2, c1: float = 0.1, rng_seed: int = 0
     ) -> "TupleSearchParams":
+        if c1 <= 0:
+            raise ValueError("c1 must be positive")
         k = r + 1
         if n >= 2:
             k = max(r + 1, int(math.floor(c1 * math.log2(n) + 0.5)))
-        return cls(
-            r=r,
-            k_target=k,
-            c1=c1,
-            max_iterations=max(1, n // (2 * k)),
-            rng_seed=rng_seed,
-        )
+        return cls(r=r, k_target=k, max_iterations=max(1, n // (2 * k)), rng_seed=rng_seed)
 
 
 # Iterations a k_target = r + 1 search draws and scores in one numpy pass.  On

@@ -14,10 +14,10 @@ skipped; the signature holds the closure as an int bitmask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph import Graph
-from .percolation import Percolator, mandatory_seeds, percolate
+from .percolation import Percolator, checked_threshold, mandatory_seeds, percolate
 
 __all__ = ["ExactResult", "min_contagious_exact", "DEFAULT_NODE_BUDGET"]
 
@@ -49,20 +49,15 @@ class ExactResult:
     status: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "witness": sorted(self.witness) if self.witness is not None else None,
-            "nodes_explored": self.nodes_explored,
-            "status": self.status,
-        }
+        witness = sorted(self.witness) if self.witness is not None else None
+        return {**asdict(self), "witness": witness}
 
 
 def min_contagious_exact(
     graph: Graph, r: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ExactResult:
     """Minimum size of a contagious set under threshold r, with witness."""
-    if int(r) != r or r < 2:
-        raise ValueError("activation threshold r must be an integer >= 2")
+    checked_threshold(r)
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
     n = graph.vertex_count

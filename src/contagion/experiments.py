@@ -35,10 +35,11 @@ import numpy as np
 from .bounds import critical_random_seed_size
 from .construct import StageParams, TupleSearchParams, construct_contagious, search_minimal_tuple
 from .graph import GnpParams, sample_gnp
-from .percolation import percolate
+from .percolation import PercolationResult, checked_threshold, percolate
 
 __all__ = [
     "CSV_HEADER_V1",
+    "MODES",
     "ExperimentRecord",
     "ExperimentConfig",
     "ExperimentOutcome",
@@ -46,33 +47,14 @@ __all__ = [
     "normalized_size",
     "growth_violations",
     "statistical_thresholds",
+    "predicted_threshold",
     "run_experiment",
     "render_csv",
     "render_json",
+    "render_output",
 ]
 
 MODES = ("sweep", "threshold", "compare", "generations", "partial")
-
-CSV_HEADER_V1 = [
-    "mode",
-    "n",
-    "d",
-    "p",
-    "r",
-    "trial",
-    "rng_seed",
-    "variant",
-    "seed_size",
-    "active_count",
-    "tau",
-    "contagious",
-    "success",
-    "constructed_size",
-    "exact_size",
-    "normalized_size",
-    "value",
-    "value2",
-]
 
 
 @functools.cache
@@ -122,11 +104,11 @@ def growth_violations(per_round_counts, seed_count: int, n: int, p: float) -> in
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One output row.  ``variant`` names the row kind within its mode.
+    """One output row; its fields, in order, are the CSV columns and the JSON keys.
 
-    ``value``/``value2`` carry the variant-specific payload (documented per
-    mode in the README).  Unused fields stay None and render as empty CSV
-    cells or JSON nulls.
+    ``variant`` names the row kind within its mode.  ``value``/``value2``
+    carry the variant-specific payload (documented per mode in the README).
+    Unused fields stay None and render as empty CSV cells or JSON nulls.
     """
 
     mode: str
@@ -173,7 +155,11 @@ class ExperimentRecord:
         return out
 
     def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_HEADER_V1}
+        return asdict(self)
+
+
+# The CSV columns, in order: the ExperimentRecord fields.
+CSV_HEADER_V1 = [f.name for f in fields(ExperimentRecord)]
 
 
 @dataclass(frozen=True)
@@ -217,8 +203,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be nonempty with positive entries")
-        if self.r < 2:
-            raise ValueError("r must be an integer >= 2")
+        checked_threshold(self.r)
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.probe_trials < 1:
@@ -229,14 +214,13 @@ class ExperimentConfig:
             raise ValueError("jobs must be positive")
         if not (0 < self.rel_tol < 1):
             raise ValueError("rel_tol must lie in (0, 1)")
+        if self.p_max_factor < 1:
+            raise ValueError("p_max_factor must be at least 1")
+        if self.threshold_mult <= 0:
+            raise ValueError("threshold_mult must be positive")
 
     def serializable(self) -> dict:
-        skip = {"out", "jobs"}
-        data = {k: v for k, v in asdict(self).items() if k not in skip}
-        data["n_list"] = list(self.n_list)
-        data["d_list"] = list(self.d_list) if self.d_list is not None else None
-        data["p_list"] = list(self.p_list) if self.p_list is not None else None
-        return data
+        return {k: v for k, v in asdict(self).items() if k not in ("out", "jobs")}
 
 
 def _is_a(value, kind: str) -> bool:
@@ -284,23 +268,25 @@ def _trial_start(config: ExperimentConfig, n: int, x: float, trial: int):
     return seed, graph, common
 
 
+def _run_fields(result: PercolationResult) -> dict:
+    """The record fields of one activation run: its seed count, reach and outcome."""
+    return dict(seed_size=len(result.seeds), active_count=result.active_count,
+                tau=result.tau, contagious=result.contagious)
+
+
 # ---------------------------------------------------------------- trials
 
 
 def _sweep_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> list[ExperimentRecord]:
     _, graph, common = _trial_start(config, n, d, trial)
     seeds, trace = construct_contagious(graph, StageParams(r=config.r))
-    result = trace.result
     size = len(seeds)
     return [
         ExperimentRecord(
             **common,
+            **_run_fields(trace.result),
             variant="construct",
-            seed_size=size,
-            active_count=result.active_count,
-            tau=result.tau,
-            contagious=result.contagious,
-            success=result.contagious,
+            success=trace.result.contagious,
             constructed_size=size,
             normalized_size=normalized_size(size, n, d, config.r),
             value=float(trace.fallback_used),
@@ -330,11 +316,8 @@ def _search_trial(config: ExperimentConfig, n: int, p: float, trial: int) -> lis
     return [
         ExperimentRecord(
             **common,
+            **_run_fields(result),
             variant=variant,
-            seed_size=config.r,
-            active_count=result.active_count,
-            tau=result.tau,
-            contagious=result.contagious,
             success=True,
             value=violations,
         )
@@ -359,11 +342,8 @@ def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
     records.append(
         ExperimentRecord(
             **common,
+            **_run_fields(res_hi),
             variant="random_cascade",
-            seed_size=size_hi,
-            active_count=res_hi.active_count,
-            tau=res_hi.tau,
-            contagious=res_hi.contagious,
             success=frac_hi >= full_fraction,
             value=frac_hi,
             value2=a_c,
@@ -376,11 +356,8 @@ def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
     records.append(
         ExperimentRecord(
             **common,
+            **_run_fields(res_lo),
             variant="random_stall",
-            seed_size=size_lo,
-            active_count=res_lo.active_count,
-            tau=res_lo.tau,
-            contagious=res_lo.contagious,
             success=res_lo.active_count <= stall_cap,
             value=float(res_lo.active_count),
             value2=stall_cap,
@@ -447,11 +424,8 @@ def _partial_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
     return [
         ExperimentRecord(
             **common,
+            **_run_fields(result),
             variant="partial_out_of_model" if d < config.partial_d0 else "partial",
-            seed_size=half,
-            active_count=result.active_count,
-            tau=result.tau,
-            contagious=result.contagious,
             success=(inactive <= bound) if bound is not None else None,
             value=float(inactive),
             value2=bound,

@@ -23,6 +23,7 @@ __all__ = [
     "GraphFormatError",
     "sample_gnp",
     "connected_components",
+    "gather_rows",
     "induced_edge_count",
     "is_connected",
     "load_edge_list",

@@ -68,6 +68,13 @@ class PercolationResult:
         }
 
 
+def checked_threshold(r) -> int:
+    """``r`` as an int; raises ValueError unless it is an integer >= 2."""
+    if int(r) != r or r < 2:
+        raise ValueError("activation threshold r must be an integer >= 2")
+    return int(r)
+
+
 def percolate(graph: Graph, seeds: Iterable[int], r: int) -> PercolationResult:
     """Run the threshold-r process from ``seeds`` until no vertex activates.
 
@@ -99,10 +106,8 @@ class Percolator:
                  "_per_round", "_mask")
 
     def __init__(self, graph: Graph, r: int):
-        if int(r) != r or r < 2:
-            raise ValueError("activation threshold r must be an integer >= 2")
         n = graph.vertex_count
-        self.graph, self.r, self.active_count = graph, int(r), 0
+        self.graph, self.r, self.active_count = graph, checked_threshold(r), 0
         self._small = n <= _SMALL_N
         if self._small:
             self._generation, self._hits = [NEVER] * n, [0] * n
@@ -243,8 +248,7 @@ def _filled(n: int, fill: int, values: dict[int, int]) -> np.ndarray:
 
 def mandatory_seeds(graph: Graph, r: int) -> frozenset[int]:
     """Vertices of degree below r: they can never be activated, only seeded."""
-    if int(r) != r or r < 2:
-        raise ValueError("activation threshold r must be an integer >= 2")
+    checked_threshold(r)
     return frozenset(np.flatnonzero(graph.degrees < r).tolist())
 
 

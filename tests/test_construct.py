@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -233,6 +234,11 @@ class TestTupleSearchParams:
         assert params.k_target == 4
         params2 = TupleSearchParams.for_graph(1000, r=2, c1=0.1, rng_seed=0)
         assert params2.k_target == 3
+
+    def test_for_graph_rejects_nonpositive_c1(self):
+        with pytest.raises(ValueError, match="c1 must be positive"):
+            TupleSearchParams.for_graph(1000, c1=0.0)
+        assert "c1" not in {f.name for f in dataclasses.fields(TupleSearchParams)}
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):

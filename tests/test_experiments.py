@@ -334,6 +334,20 @@ class TestCli:
         assert main(["threshold", "--n", "300", "--probe-trials", "0"]) == 1
         assert "probe_trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode,flag,value,field",
+        [
+            ("threshold", "--p-max-factor", "0", "p_max_factor"),
+            ("threshold", "--p-max-factor", "0.5", "p_max_factor"),
+            ("generations", "--threshold-mult", "0", "threshold_mult"),
+            ("generations", "--threshold-mult", "-2", "threshold_mult"),
+            ("threshold", "--c1", "0", "c1"),
+        ],
+    )
+    def test_out_of_range_knob_exits_1_naming_it(self, capsys, mode, flag, value, field):
+        assert main([mode, "--n", "200", flag, value]) == 1
+        assert field in capsys.readouterr().err
+
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
