@@ -218,6 +218,12 @@ class ExperimentConfig:
             raise ValueError("p_max_factor must be at least 1")
         if self.threshold_mult <= 0:
             raise ValueError("threshold_mult must be positive")
+        if self.c1 <= 0:
+            raise ValueError("c1 must be positive")
+        if self.k_target is not None and self.k_target < self.r + 1:
+            raise ValueError("k_target must be at least r + 1")
+        if self.partial_slack is not None and self.partial_slack < 0:
+            raise ValueError("partial_slack must be nonnegative")
 
     def serializable(self) -> dict:
         return {k: v for k, v in asdict(self).items() if k not in ("out", "jobs")}
@@ -298,7 +304,7 @@ def _tuple_params(config: ExperimentConfig, n: int, rng_seed: int) -> TupleSearc
     params = TupleSearchParams.for_graph(n, r=config.r, c1=config.c1, rng_seed=rng_seed)
     if config.k_target is None:
         return params
-    k = max(config.r + 1, config.k_target)
+    k = config.k_target
     return replace(params, k_target=k, max_iterations=max(1, n // (2 * k)))
 
 

@@ -96,25 +96,10 @@ class Graph:
 
     @classmethod
     def _from_pair_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray, lines=None) -> "Graph":
-        """The one build path: validate pairs u < v given in any order, then lay out CSR.
-
-        Row v holds its lower neighbours, from a value sort of the keys (v, u),
-        then its higher ones, from the sorted keys (u, v); a boolean slot mask
-        places both in order, so no argsort runs over the 2m arcs.
-        """
-        upper_keys, shift = _validated_keys(n, us, vs, lines)
-        lower_keys = (vs << shift) | us
-        lower_keys.sort()
-        up, down = np.bincount(us, minlength=n), np.bincount(vs, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(up + down, out=indptr[1:])
-        # per row: `down` lower-neighbour slots, then `up` higher-neighbour slots
-        upper_slot = np.repeat(np.tile([False, True], n), np.column_stack((down, up)).ravel())
-        low_bits = (1 << shift) - 1
-        indices = np.empty(2 * upper_keys.size, dtype=np.int32)
-        indices[upper_slot] = np.bitwise_and(upper_keys, low_bits, out=upper_keys)
-        indices[~upper_slot] = np.bitwise_and(lower_keys, low_bits, out=lower_keys)
-        return cls(n, indptr, indices)
+        """Validate pairs u < v given in any order, then lay them out with ``_layout``."""
+        keys, shift = _validated_keys(n, us, vs, lines)
+        up = np.bincount(keys >> shift, minlength=n)
+        return _layout(n, up, np.bitwise_and(keys, (1 << shift) - 1, out=keys))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -185,8 +170,9 @@ def _validated_keys(n: int, us: np.ndarray, vs: np.ndarray, lines: np.ndarray | 
 
     The first pair that is a self-loop, has an id outside ``[0, n)``, has u > v
     or repeats an earlier pair raises GraphFormatError naming ``line {lines[i]}``,
-    or ``pair {i}`` without ``lines``.  Pairs in lexicographic order (the
-    sampler's) skip the sort; the strict-increase check also rules out repeats.
+    or ``pair {i}`` without ``lines``.  Pairs in lexicographic order (as
+    ``save_edge_list`` writes them) skip the sort; the strict-increase check
+    also rules out repeats.
     """
     shift = max(int(n - 1).bit_length(), 1)  # bits of an id
     bad = (us >= vs) | (us < 0) | (vs >= n)
@@ -343,10 +329,16 @@ def sample_gnp(params: GnpParams) -> Graph:
     """Sample G(n, p): every unordered pair is an edge independently with prob p.
 
     Sparse draws walk the lexicographic pair order with geometric skip
-    lengths, so the cost is O(n + m) rather than O(n^2).  p == 1 falls back
-    to direct enumeration of all pairs (sensible up to n of a few times
-    10^4, where the complete graph itself is the memory bound).  The same
-    params, including the seed, always reproduce the identical graph.
+    lengths (Batagelj and Brandes, Phys. Rev. E 71, 2005), so the cost is
+    O(n + m) rather than O(n^2).  p == 1 falls back to direct enumeration of
+    all pairs (sensible up to n of a few times 10^4, where the complete graph
+    itself is the memory bound).  The same params, including the seed, always
+    reproduce the identical graph.
+
+    The skips are those of ``rng.geometric(p)`` (see ``_geometric``).  A pair
+    rank decodes to its row u by a search of the row starts and to v by one
+    subtraction; the pairs are valid by construction, so they go to
+    ``_layout``, which ``Graph.from_edges`` also ends in, with no validation.
     """
     n, p = params.n, params.p
     npairs = n * (n - 1) // 2
@@ -357,20 +349,53 @@ def sample_gnp(params: GnpParams) -> Graph:
         linear = np.arange(npairs, dtype=np.int64)
     else:
         linear = _skip_sample(rng, npairs, p)
-    us, vs = _pairs_from_linear(n, linear)
-    del linear  # the build below is the memory peak
-    return Graph._from_pair_arrays(n, us, vs)
+    # The rank of (u, v) is offset[u] + v; row u's ranks start at offset[u] + u + 1.
+    u_range = np.arange(n, dtype=np.int64)
+    offset = u_range * n - (u_range * (u_range + 3)) // 2 - 1
+    up = np.diff(np.searchsorted(linear, offset + u_range + 1), append=linear.size)
+    vs = np.empty(linear.size, dtype=np.int32)
+    np.subtract(linear, np.repeat(offset, up), out=vs, casting="unsafe")
+    del linear  # the layout below is the memory peak
+    return _layout(n, up, vs)
+
+
+# Below this p numpy's Generator.geometric inverts; from it up it searches the CDF.
+_SEARCH_P = 1 / 3
+
+
+def _geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """The values of ``rng.geometric(p, size)``, as float64, from the same stream.
+
+    Below ``_SEARCH_P`` numpy draws ceil(-E / log1p(-p)), E standard exponential;
+    written out here, log1p runs once, not per draw.  The CDF search above has
+    no such shortcut.  Unlike numpy, a draw past 2^63 is not cut to INT64_MAX.
+    """
+    if p >= _SEARCH_P:
+        return rng.geometric(p, size=size).astype(np.float64)
+    skips = rng.standard_exponential(size)
+    with np.errstate(over="ignore"):  # a subnormal p gives inf, which stays a long skip
+        skips /= -math.log1p(-p)
+    return np.ceil(skips, out=skips)
 
 
 def _skip_sample(rng: np.random.Generator, npairs: int, p: float) -> np.ndarray:
-    """Positions of successes in a length-``npairs`` Bernoulli(p) stream."""
+    """Positions of successes in a length-``npairs`` Bernoulli(p) stream, increasing.
+
+    Skips are clamped to ``npairs + 1``, which ends the stream all the same, so
+    the running sum cannot overflow at tiny p.  A skip below 1 raises.
+    """
     chunks: list[np.ndarray] = []
     cursor = -1
     while True:
         remaining = npairs - cursor  # > 0
         expect = remaining * p
         size = int(expect + 8.0 * math.sqrt(expect + 1.0) + 16.0)
-        positions = rng.geometric(p, size=size).astype(np.int64, copy=False)
+        skips = _geometric(rng, p, size)
+        np.minimum(skips, npairs + 1, out=skips)
+        if skips.min() < 1.0:
+            raise RuntimeError(f"geometric skip {skips.min()} below 1 at p = {p}")
+        positions = skips.astype(np.int64)
+        del skips
         np.cumsum(positions, out=positions)
         positions += cursor
         if positions[-1] >= npairs:
@@ -381,17 +406,28 @@ def _skip_sample(rng: np.random.Generator, npairs: int, p: float) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _pairs_from_linear(n: int, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map increasing lexicographic pair ranks to (u, v) with u < v.
+def _layout(n: int, up: np.ndarray, vs: np.ndarray) -> Graph:
+    """CSR of the pairs u < v given by their ends ``vs`` in (u, v) order, ``up[u]`` per u.
 
-    Rank 0 is (0, 1), rank n-2 is (0, n-1), rank n-1 is (1, 2), and so on.
+    Each row holds its lower neighbours, then its higher ones, which are ``vs``
+    in order.  The lower ones come from one value sort of the keys
+    (v << bits) | u, int32 up to n = 2^15 and int64 above; a boolean slot mask
+    places both, so no argsort runs over the 2m arcs.
     """
-    u_range = np.arange(n, dtype=np.int64)
-    row_starts = u_range * n - (u_range * (u_range + 1)) // 2
-    row_sizes = np.diff(np.searchsorted(linear, row_starts), append=linear.size)
-    us = np.repeat(u_range, row_sizes)
-    vs = linear - np.repeat(row_starts - u_range - 1, row_sizes)
-    return us, vs
+    bits = max(int(n - 1).bit_length(), 1)  # bits of an id
+    keys = vs.astype(np.int32 if 2 * bits <= 31 else np.int64)
+    keys <<= bits
+    keys |= np.repeat(np.arange(n, dtype=keys.dtype), up)
+    keys.sort()
+    down = np.bincount(vs, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(up + down, out=indptr[1:])
+    # per row: `down` lower-neighbour slots, then `up` higher-neighbour slots
+    upper_slot = np.repeat(np.tile([False, True], n), np.column_stack((down, up)).ravel())
+    indices = np.empty(2 * vs.size, dtype=np.int32)
+    indices[upper_slot] = vs
+    indices[~upper_slot] = np.bitwise_and(keys, (1 << bits) - 1, out=keys)
+    return Graph(n, indptr, indices)
 
 
 def connected_components(

@@ -348,6 +348,19 @@ class TestCli:
         assert main([mode, "--n", "200", flag, value]) == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["partial", "--n", "300", "--d", "12", "--slack", "-1"], "partial_slack"),
+            (["generations", "--n", "300", "--k-target", "0"], "k_target"),
+            (["generations", "--n", "300", "--r", "3", "--k-target", "3"], "k_target"),
+            (["sweep", "--n", "300", "--d", "10", "--c1", "0"], "c1"),
+        ],
+    )
+    def test_out_of_range_config_field_exits_1_naming_it(self, capsys, argv, field):
+        assert main([*argv, "--trials", "1"]) == 1
+        assert field in capsys.readouterr().err
+
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,7 +181,9 @@ class TestSampler:
         assert float(np.max(np.abs(freq - p))) < 0.06
 
     # blake2b (16-byte) digests of int64 indptr then int32 indices, computed
-    # with the earlier argsort CSR build: the sampler's graphs must not change.
+    # with the earlier argsort CSR build (the two above n = 2^15, where the
+    # layout sorts int64 keys, with the build that validated every pair): the
+    # sampler's graphs must not change.
     @pytest.mark.parametrize(
         "n,p,seed,digest",
         [
@@ -187,6 +194,8 @@ class TestSampler:
             (1000, 0.5, 3, "39540f47854e21df18218d55ed308a22"),
             (5000, 0.002, 9, "117317290833c8a8e687f05261de27a4"),
             (20000, 0.001, 11, "c563cdad4bb98099e8e07f65534a7f59"),
+            (40000, 5e-4, 5, "497a63aa18a58fb5af1c1e8b85f8ba9b"),
+            (70000, 2e-4, 3, "313740d88214e5cc10aeac90265cdc49"),
         ],
     )
     def test_graphs_are_pinned(self, n, p, seed, digest):
@@ -196,6 +205,21 @@ class TestSampler:
         h.update(g.indptr.tobytes())
         h.update(g.indices.tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("p", ["1e-20", "1e-300"])
+    def test_tiny_p_gives_empty_graph(self, p):
+        # Unclamped skips near 2^63 overflow the running sum, which crashes at
+        # 1e-20 and never returns at 1e-300: a child with a timeout keeps a
+        # hang from stalling the suite.
+        src = str(Path(graph_module.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys; from contagion.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["construct", "--n", "100", "--p", p, "--seed", "1"]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["seeds"] == list(range(100))  # no edge: every vertex seeds
 
     def test_validates_params(self):
         with pytest.raises(ValueError):
@@ -534,6 +558,46 @@ def small_gnp(draw):
     p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return GnpParams(n, p, seed)
+
+
+class TestSkipDraw:
+    @PROPERTY_SETTINGS
+    @given(
+        p=st.floats(min_value=1e-15, max_value=1 / 3, exclude_max=True),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sizes=st.lists(st.integers(min_value=0, max_value=400), min_size=1, max_size=4),
+    )
+    def test_inversion_matches_numpy_geometric(self, p, seed, sizes):
+        self.check_split_draws(p, seed, sizes)
+
+    @pytest.mark.parametrize("p", [1 / 3, 0.5, 0.9])
+    def test_search_branch_is_numpy_geometric(self, p):
+        assert p >= graph_module._SEARCH_P
+        self.check_split_draws(p, 7, [300, 1, 0, 250])
+
+    @staticmethod
+    def check_split_draws(p, seed, sizes):
+        mine = np.random.Generator(np.random.PCG64(seed))
+        theirs = np.random.Generator(np.random.PCG64(seed))
+        got = np.concatenate([graph_module._geometric(mine, p, k) for k in sizes])
+        assert np.array_equal(got.astype(np.int64), theirs.geometric(p, size=sum(sizes)))
+        assert mine.integers(2**62) == theirs.integers(2**62)  # the streams stay in step
+
+    @PROPERTY_SETTINGS
+    @given(params=small_gnp(), data=st.data())
+    def test_sampler_layout_matches_from_edges(self, params, data):
+        n, p = params.n, params.p
+        npairs = n * (n - 1) // 2
+        if npairs == 0 or p == 0.0:
+            ranks = np.empty(0, dtype=np.int64)
+        elif p == 1.0:
+            ranks = np.arange(npairs)
+        else:
+            rng = np.random.Generator(np.random.PCG64(params.rng_seed))
+            ranks = graph_module._skip_sample(rng, npairs, p)
+        us, vs = np.triu_indices(n, 1)  # lexicographic pair order, rank by rank
+        pairs = data.draw(st.permutations(list(zip(us[ranks].tolist(), vs[ranks].tolist()))))
+        assert sample_gnp(params) == Graph.from_edges(n, pairs)
 
 
 class TestGraphProperties:
