@@ -216,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         batch.add_argument("--format", dest="fmt", choices=("csv", "json"))
         batch.add_argument("--jobs", type=int)
         batch.add_argument("--config", help="JSON file with ExperimentConfig fields")
-        batch.add_argument("--c1", type=float)
-        batch.add_argument("--k-target", dest="k_target", type=int)
         batch.add_argument("--probe-trials", dest="probe_trials", type=int)
         batch.add_argument("--rel-tol", dest="rel_tol", type=float)
         batch.add_argument("--p-max-factor", dest="p_max_factor", type=float)

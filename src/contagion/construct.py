@@ -9,11 +9,10 @@ certify nothing about (too sparse, disconnected, or too small for the
 schedule) it falls back to mandatory seeds plus greedy completion.
 
 ``search_minimal_tuple`` hunts for an r-element contagious set by drawing
-r pool vertices, extending them through a blocked pool partition where the
-j-th extension must already see r chosen neighbors, and percolating the
-initial r to check the find.  Both procedures re-verify every returned set
-with the engine; an unverifiable return is an internal error, never a
-silent result.
+r pool vertices, extending them by one pool vertex adjacent to all r, and
+percolating the initial r to check the find.  Both procedures re-verify
+every returned set with the engine; an unverifiable return is an internal
+error, never a silent result.
 """
 
 from __future__ import annotations
@@ -282,38 +281,26 @@ def _fallback_construct(graph, r, d):
 class TupleSearchParams:
     """Knobs of the r-tuple search.
 
-    ``k_target`` is the chain length the search tries to assemble before
-    percolating (at least r + 1); the helper ``for_graph`` derives it as
-    max(r + 1, round(c1 * log2 n)) and the iteration budget as n // (2k).
+    The helper ``for_graph`` sets the iteration budget to n // (2(r + 1)).
     """
 
     r: int = 2
-    k_target: int = 3
     max_iterations: int = 1
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         checked_threshold(self.r)
-        if self.k_target < self.r + 1:
-            raise ValueError("k_target must be at least r + 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
     @classmethod
-    def for_graph(
-        cls, n: int, r: int = 2, c1: float = 0.1, rng_seed: int = 0
-    ) -> "TupleSearchParams":
-        if c1 <= 0:
-            raise ValueError("c1 must be positive")
-        k = r + 1
-        if n >= 2:
-            k = max(r + 1, int(math.floor(c1 * math.log2(n) + 0.5)))
-        return cls(r=r, k_target=k, max_iterations=max(1, n // (2 * k)), rng_seed=rng_seed)
+    def for_graph(cls, n: int, r: int = 2, rng_seed: int = 0) -> "TupleSearchParams":
+        return cls(r=r, max_iterations=max(1, n // (2 * (r + 1))), rng_seed=rng_seed)
 
 
-# Iterations a k_target = r + 1 search draws and scores in one numpy pass.  On
-# the searches of one threshold round at n = 20000, caps of 128 to 512 took the
-# same time within noise; 64 and 1024 were slower.
+# Iterations the search draws and scores in one numpy pass.  On the searches of
+# one threshold round at n = 20000, caps of 128 to 512 took the same time within
+# noise; 64 and 1024 were slower.
 _BATCH = 256
 
 
@@ -322,39 +309,35 @@ def search_minimal_tuple(
 ) -> tuple[frozenset[int], PercolationResult] | None:
     """Look for an r-set whose activation reaches the whole graph.
 
-    Each iteration draws r pool vertices, splits the rest of the pool into
-    k_target - r blocks by round-robin over a seeded shuffle, and extends
-    the chain one block at a time: the j-th extension must already have r
-    neighbors among the chosen (the smallest such id in its block is taken).
-    A completed chain is judged by a fresh, sparse-first ``Percolator`` from
-    the r initial vertices; a contagious run is returned, anything else dumps
-    the used vertices from the pool and iterates.  Returns None when the
-    iteration budget or the pool runs out.
+    Each iteration draws r pool vertices and extends them by one pool vertex
+    that has all r as neighbors (the smallest such id is taken).  A completed
+    chain is judged by a fresh, sparse-first ``Percolator`` from the r initial
+    vertices; a contagious run is returned, anything else dumps the used
+    vertices from the pool and iterates.  Returns None when the iteration
+    budget or the pool runs out.
 
-    With k_target = r + 1 (no shuffle) up to ``_BATCH`` iterations run as one
-    batch: their draws come from one ``rng.integers(size=m)`` call, which
-    yields the values of m scalar draws, and one sort of the keys
-    ``iteration * n + w`` over the chosen rows finds every iteration's common
-    neighbours.  The iterations with a candidate are then handled in order;
-    when an extension was drawn by a later iteration of the batch, the batch is
-    cut back to that iteration and its draws are replayed in the next, so the
-    finds are those of the one-iteration-at-a-time search.  With k_target >= r + 2 a batch is one
-    iteration and draws nothing ahead of its shuffle.
+    Up to ``_BATCH`` iterations run as one batch: their draws come from one
+    ``rng.integers(size=m)`` call, which yields the values of m scalar draws,
+    and one sort of the keys ``iteration * n + w`` over the chosen rows finds
+    every iteration's common neighbours.  The iterations with a candidate are
+    then handled in order; when an extension was drawn by a later iteration of
+    the batch, the batch is cut back to that iteration and its draws are
+    replayed in the next, so the finds are those of the one-iteration-at-a-time
+    search.
     """
     n = graph.vertex_count
-    r, k = params.r, params.k_target
+    r = params.r
+    k = r + 1
     if n < k:
-        raise ValueError("graph smaller than k_target")
+        raise ValueError("graph smaller than r + 1")
     rng = np.random.Generator(np.random.PCG64(params.rng_seed))
     pool = np.ones(n, dtype=bool)
     pool_size = n
-    num_blocks = k - r
-    block_of = np.full(n, -1, dtype=np.int64) if num_blocks > 1 else None
     draws, done = np.empty(0, dtype=np.int64), 0
 
     while done < params.max_iterations and pool_size >= k:
         # An iteration takes at most k vertices, so none in the batch finds fewer than k.
-        size = min(params.max_iterations - done, pool_size // k, _BATCH if num_blocks == 1 else 1)
+        size = min(params.max_iterations - done, pool_size // k, _BATCH)
         while True:  # a draw is taken if its vertex is in the pool and not drawn before it
             first = np.zeros(draws.size, dtype=bool)
             first[np.unique(draws, return_index=True)[1]] = True
@@ -362,8 +345,7 @@ def search_minimal_tuple(
             need = r * size - taken.size
             if need <= 0:
                 break
-            if num_blocks == 1:  # expected draws for the rest of the batch
-                need = need * n // (pool_size - taken.size) + r
+            need = need * n // (pool_size - taken.size) + r  # expected draws for the rest
             draws = np.concatenate([draws, rng.integers(0, n, size=need)])
         taken = taken[: r * size]
         rows = draws[taken]
@@ -373,9 +355,6 @@ def search_minimal_tuple(
         chosen_at = dict(zip(chain, (np.arange(rows.size) // r).tolist()))
         starts = [0, *(taken[r - 1 : -1 : r] + 1).tolist()]  # each iteration's first draw
         pos = int(taken[-1]) + 1
-        if block_of is not None:
-            perm = rng.permutation(np.flatnonzero(pool))
-            block_of[perm] = np.arange(perm.size, dtype=np.int64) % num_blocks
 
         keys = gather_rows(graph, rows).astype(np.int64)
         keys += np.repeat(np.arange(rows.size, dtype=np.int64) // r * n, graph.degrees[rows])
@@ -388,31 +367,18 @@ def search_minimal_tuple(
                 break
             if i == last or not (pool[w] or i < chosen_at.get(w, -1) < end):
                 continue
-            if block_of is not None and block_of[w] != 0:
-                continue
             last = i
             j = chosen_at.get(w, end)
             if j < end:  # iteration j drew w, which leaves the pool first: replay from j
                 pool[rows[r * j : r * end]] = True
                 pool_size += r * (end - j)
                 end, pos = j, starts[j]
-            seeds = chain[r * i : r * i + r]
-            extended = [w]
             pool[w] = False
             pool_size -= 1
-            for block in range(1, num_blocks):
-                ids, counts = count_by_vertex(gather_rows(graph, np.asarray(seeds + extended)), n)
-                ready = ids[counts >= r]
-                ready = ready[pool[ready] & (block_of[ready] == block)]
-                if not ready.size:
-                    break
-                extended.append(int(ready[0]))
-                pool[extended[-1]] = False
-                pool_size -= 1
-            else:
-                state = Percolator(graph, r).add_seeds(seeds)
-                if state.contagious:
-                    return frozenset(seeds), state.result()
+            seeds = chain[r * i : r * i + r]
+            state = Percolator(graph, r).add_seeds(seeds)
+            if state.contagious:
+                return frozenset(seeds), state.result()
         done += end
         draws = draws[pos:]
     return None

@@ -26,7 +26,7 @@ import numbers
 import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from typing import Callable
 
@@ -181,8 +181,6 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "csv"
     jobs: int = 1
-    c1: float = 0.1
-    k_target: int | None = None
     probe_trials: int = 30
     rel_tol: float = 0.1
     p_max_factor: float = 32.0
@@ -204,6 +202,9 @@ class ExperimentConfig:
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be nonempty with positive entries")
         checked_threshold(self.r)
+        if self.mode in ("threshold", "generations") and min(self.n_list) < self.r + 1:
+            # the tuple search takes r + 1 vertices per iteration
+            raise ValueError(f"n_list entries must be at least r + 1 in {self.mode} mode")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.probe_trials < 1:
@@ -218,10 +219,6 @@ class ExperimentConfig:
             raise ValueError("p_max_factor must be at least 1")
         if self.threshold_mult <= 0:
             raise ValueError("threshold_mult must be positive")
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
-        if self.k_target is not None and self.k_target < self.r + 1:
-            raise ValueError("k_target must be at least r + 1")
         if self.partial_slack is not None and self.partial_slack < 0:
             raise ValueError("partial_slack must be nonnegative")
 
@@ -300,18 +297,11 @@ def _sweep_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> list
     ]
 
 
-def _tuple_params(config: ExperimentConfig, n: int, rng_seed: int) -> TupleSearchParams:
-    params = TupleSearchParams.for_graph(n, r=config.r, c1=config.c1, rng_seed=rng_seed)
-    if config.k_target is None:
-        return params
-    k = config.k_target
-    return replace(params, k_target=k, max_iterations=max(1, n // (2 * k)))
-
-
 def _search_trial(config: ExperimentConfig, n: int, p: float, trial: int) -> list[ExperimentRecord]:
     """One r-tuple search: a ``threshold`` probe or a ``generations`` find."""
     seed, graph, common = _trial_start(config, n, p, trial)
-    found = search_minimal_tuple(graph, _tuple_params(config, n, derive_seed(seed, "search")))
+    params = TupleSearchParams.for_graph(n, r=config.r, rng_seed=derive_seed(seed, "search"))
+    found = search_minimal_tuple(graph, params)
     variant = "probe" if config.mode == "threshold" else "tuple"
     if found is None:
         return [ExperimentRecord(**common, variant=variant, success=False)]

@@ -83,7 +83,7 @@ def naive_percolate(adj, seeds, r):
         active |= newly
 
 
-def naive_tuple_search(graph, r, k, budget, seed, judged=None):
+def naive_tuple_search(graph, r, budget, seed, judged=None):
     """Reference tuple search: one iteration at a time, scalar draws, a Counter per chain.
 
     Returns (sorted tuple, tau, per_round_counts) of the first contagious chain,
@@ -96,7 +96,7 @@ def naive_tuple_search(graph, r, k, budget, seed, judged=None):
     rng = np.random.Generator(np.random.PCG64(seed))
     pool = set(range(n))
     for _ in range(budget):
-        if len(pool) < k:
+        if len(pool) < r + 1:
             return None
         chosen = []
         while len(chosen) < r:
@@ -104,26 +104,17 @@ def naive_tuple_search(graph, r, k, budget, seed, judged=None):
             if v in pool:
                 pool.remove(v)
                 chosen.append(v)
-        block_of = {}
-        if k - r > 1:  # round-robin blocks over a shuffle of the pool in id order
-            perm = rng.permutation(np.array(sorted(pool), dtype=np.int64)).tolist()
-            block_of = {v: i % (k - r) for i, v in enumerate(perm)}
         counts = Counter(w for v in chosen for w in adj[v])
-        for block in range(k - r):
-            ready = [w for w, c in counts.items()
-                     if c >= r and w in pool and block_of.get(w, 0) == block]
-            if not ready:
-                break
-            pool.remove(min(ready))
-            chosen.append(min(ready))
-            counts.update(adj[chosen[-1]])
-        else:
-            if judged is not None:
-                judged.append(chosen[:r])
-            gen, tau = naive_percolate(adj_sets, chosen[:r], r)
-            if len(gen) == n:
-                per_round = Counter(gen.values())
-                return sorted(chosen[:r]), tau, tuple(per_round[t] for t in range(1, tau + 1))
+        ready = [w for w, c in counts.items() if c >= r and w in pool]
+        if not ready:
+            continue
+        pool.remove(min(ready))
+        if judged is not None:
+            judged.append(chosen)
+        gen, tau = naive_percolate(adj_sets, chosen, r)
+        if len(gen) == n:
+            per_round = Counter(gen.values())
+            return sorted(chosen), tau, tuple(per_round[t] for t in range(1, tau + 1))
     return None
 
 

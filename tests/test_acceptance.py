@@ -267,7 +267,7 @@ def test_c07_near_threshold_tuples_and_growth():
         found = 0
         for s in range(6):
             g = sample_gnp(GnpParams(n, p, 40_000 + s))
-            params = TupleSearchParams.for_graph(n, r=2, c1=0.1, rng_seed=s)
+            params = TupleSearchParams.for_graph(n, r=2, rng_seed=s)
             hit = search_minimal_tuple(g, params)
             if hit is None:
                 continue

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -229,26 +228,16 @@ class TestConstructorProperties:
 
 class TestTupleSearchParams:
     def test_for_graph_formula(self):
-        # max(r + 1, round(0.1 * log2 n))
-        params = TupleSearchParams.for_graph(2**40, r=2, c1=0.1, rng_seed=0)
-        assert params.k_target == 4
-        params2 = TupleSearchParams.for_graph(1000, r=2, c1=0.1, rng_seed=0)
-        assert params2.k_target == 3
-
-    def test_for_graph_rejects_nonpositive_c1(self):
-        with pytest.raises(ValueError, match="c1 must be positive"):
-            TupleSearchParams.for_graph(1000, c1=0.0)
-        assert "c1" not in {f.name for f in dataclasses.fields(TupleSearchParams)}
-
-    def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
-            TupleSearchParams(r=2, k_target=2, max_iterations=1, rng_seed=0)
+        # budget n // (2(r + 1)), at least 1
+        assert TupleSearchParams.for_graph(1000, r=2, rng_seed=0).max_iterations == 166
+        assert TupleSearchParams.for_graph(1000, r=3, rng_seed=0).max_iterations == 125
+        assert TupleSearchParams.for_graph(5, r=3).max_iterations == 1
 
 
 class TestTupleSearch:
     def test_complete_graph_any_pair_works(self):
         g = complete_graph(6)
-        params = TupleSearchParams(r=2, k_target=3, max_iterations=50, rng_seed=1)
+        params = TupleSearchParams(r=2, max_iterations=50, rng_seed=1)
         found = search_minimal_tuple(g, params)
         assert found is not None
         seeds, res = found
@@ -257,18 +246,18 @@ class TestTupleSearch:
 
     def test_edgeless_graph_fails(self):
         g = Graph.empty(30)
-        params = TupleSearchParams(r=2, k_target=3, max_iterations=50, rng_seed=1)
+        params = TupleSearchParams(r=2, max_iterations=50, rng_seed=1)
         assert search_minimal_tuple(g, params) is None
 
     def test_stalling_graph_exhausts_iterations(self, path5):
-        params = TupleSearchParams(r=2, k_target=3, max_iterations=20, rng_seed=0)
+        params = TupleSearchParams(r=2, max_iterations=20, rng_seed=0)
         assert search_minimal_tuple(path5, params) is None
 
     def test_deterministic(self):
         n = 4000
         p = 4.0 / math.sqrt(n * math.log(n))
         g = sample_gnp(GnpParams(n, p, 21))
-        params = TupleSearchParams(r=2, k_target=3, max_iterations=500, rng_seed=9)
+        params = TupleSearchParams(r=2, max_iterations=500, rng_seed=9)
         a = search_minimal_tuple(g, params)
         b = search_minimal_tuple(g, params)
         assert a is not None and b is not None
@@ -278,7 +267,7 @@ class TestTupleSearch:
         n = 4000
         p = 4.0 / math.sqrt(n * math.log(n))
         g = sample_gnp(GnpParams(n, p, 33))
-        params = TupleSearchParams.for_graph(n, r=2, c1=0.1, rng_seed=3)
+        params = TupleSearchParams.for_graph(n, r=2, rng_seed=3)
         found = search_minimal_tuple(g, params)
         assert found is not None
         seeds, res = found
@@ -288,7 +277,7 @@ class TestTupleSearch:
 
     def test_tiny_pool_rejected(self):
         g = complete_graph(2)
-        params = TupleSearchParams(r=2, k_target=3, max_iterations=5, rng_seed=0)
+        params = TupleSearchParams(r=2, max_iterations=5, rng_seed=0)
         with pytest.raises(ValueError):
             search_minimal_tuple(g, params)
 
@@ -300,7 +289,7 @@ class TestTupleSearch:
         trials = 10
         for s in range(trials):
             g = sample_gnp(GnpParams(n, p, 1000 + s))
-            params = TupleSearchParams.for_graph(n, r=2, c1=0.1, rng_seed=s)
+            params = TupleSearchParams.for_graph(n, r=2, rng_seed=s)
             found = search_minimal_tuple(g, params)
             if found is not None:
                 seeds, res = found
@@ -308,48 +297,31 @@ class TestTupleSearch:
                 hits += 1
         assert hits >= 8, f"tuple search succeeded only {hits}/{trials} times"
 
-    # (n, r, k_target, multiple of the threshold scale (n log^{r-1} n)^{-1/r},
-    # graph seed, search seed), the fewest iterations that find a tuple, and
-    # (sorted tuple, tau, per_round_counts, active_count) of the find, as
-    # computed by the search that kept numpy counts and percolated each
-    # completed chain with ``percolate``.  Graphs of 400 vertices are below
-    # _SMALL_N, those of 3000 above it; k_target >= r + 2 takes the
-    # rng.permutation path.
+    # (n, r, multiple of the threshold scale (n log^{r-1} n)^{-1/r}, graph seed,
+    # search seed), the fewest iterations that find a tuple, and (sorted tuple,
+    # tau, per_round_counts, active_count) of the find, as computed by the
+    # search that kept numpy counts and percolated each completed chain with
+    # ``percolate``.  Graphs of 400 vertices are below _SMALL_N, those of 3000
+    # above it.
     @pytest.mark.parametrize(
         "case, iterations, expected",
         [
-            ((400, 2, 3, 1.3, 2, 12), 3,
+            ((400, 2, 1.3, 2, 12), 3,
              ([25, 75], 12, (1, 1, 2, 2, 2, 4, 6, 24, 99, 207, 49, 1), 400)),
-            ((400, 2, 5, 2.0, 2, 12), 24, ([37, 237], 6, (2, 3, 7, 31, 189, 166), 400)),
-            ((400, 3, 4, 1.5, 1, 11), 58,
+            ((400, 3, 1.5, 1, 11), 58,
              ([253, 254, 348], 8, (1, 2, 1, 4, 11, 52, 253, 73), 400)),
-            ((400, 3, 5, 1.5, 2, 12), 50,
-             ([32, 75, 254], 9, (1, 1, 1, 3, 2, 8, 34, 223, 124), 400)),
-            ((3000, 2, 3, 1.3, 2, 12), 24,
+            ((3000, 2, 1.3, 2, 12), 24,
              ([909, 2640], 10, (1, 1, 2, 4, 7, 16, 69, 559, 2265, 74), 3000)),
-            ((3000, 2, 5, 1.3, 1, 11), 317,
-             ([1412, 2398], 11, (4, 2, 3, 3, 5, 6, 27, 151, 1295, 1500, 2), 3000)),
-            ((3000, 3, 4, 1.5, 1, 11), 640,
+            ((3000, 3, 1.5, 1, 11), 640,
              ([1019, 1135, 1769], 12, (1, 1, 2, 1, 1, 1, 1, 3, 10, 61, 1090, 1825), 3000)),
-            ((3000, 3, 5, 1.5, 2, 12), 2,
-             ([1097, 2400, 2688], 9, (1, 1, 3, 4, 6, 23, 244, 2650, 65), 3000)),
-            # denser graphs, where a block often holds several ready vertices,
-            # so taking another than the smallest changes the find
-            ((400, 2, 5, 3.0, 2, 12), 3, ([271, 335], 5, (2, 7, 51, 309, 29), 400)),
-            ((400, 3, 5, 3.0, 1, 11), 8, ([42, 49, 347], 4, (3, 7, 82, 305), 400)),
-            ((3000, 2, 4, 1.3, 2, 12), 485,
-             ([1185, 1441], 9, (2, 3, 2, 4, 14, 47, 331, 2170, 425), 3000)),
-            ((3000, 2, 5, 2.0, 2, 12), 78, ([775, 1856], 7, (1, 2, 5, 20, 145, 1841, 984), 3000)),
-            ((3000, 3, 5, 3.0, 2, 12), 10,
-             ([746, 1746, 2643], 5, (2, 5, 42, 1536, 1412), 3000)),
         ],
     )
     def test_pinned_finds_and_budgets(self, case, iterations, expected):
-        n, r, k, mult, graph_seed, search_seed = case
+        n, r, mult, graph_seed, search_seed = case
         g = sample_gnp(GnpParams(n, mult * (n * math.log(n) ** (r - 1)) ** (-1 / r), graph_seed))
 
         def search(budget):
-            params = TupleSearchParams(r=r, k_target=k, max_iterations=budget, rng_seed=search_seed)
+            params = TupleSearchParams(r=r, max_iterations=budget, rng_seed=search_seed)
             found = search_minimal_tuple(g, params)
             if found is None:
                 return None
@@ -368,7 +340,7 @@ def near_threshold_graph(n, r, mult, seed):
     return sample_gnp(GnpParams(n, min(1.0, mult * (n * math.log(n) ** (r - 1)) ** (-1 / r)), seed))
 
 
-def batched_search(graph, r, k, budget, seed, judged):
+def batched_search(graph, r, budget, seed, judged):
     """The package's search; the r initial vertices of each judged chain go to ``judged``."""
 
     class Spy(construct_module.Percolator):
@@ -378,7 +350,7 @@ def batched_search(graph, r, k, budget, seed, judged):
 
     with mock.patch.object(construct_module, "Percolator", Spy):
         found = search_minimal_tuple(
-            graph, TupleSearchParams(r=r, k_target=k, max_iterations=budget, rng_seed=seed)
+            graph, TupleSearchParams(r=r, max_iterations=budget, rng_seed=seed)
         )
     if found is None:
         return None
@@ -403,7 +375,6 @@ class TestBatchedTupleSearch:
 
     @given(
         r=st.sampled_from([2, 3, 4]),
-        extra=st.sampled_from([1, 2]),
         small=st.booleans(),
         size=st.integers(0, 127),
         mult=st.sampled_from([0.7, 1.0, 1.5, 3.0]),
@@ -414,17 +385,16 @@ class TestBatchedTupleSearch:
     )
     @PROPERTY_SETTINGS
     def test_matches_one_iteration_oracle(
-        self, r, extra, small, size, mult, graph_seed, search_seed, budget, batch
+        self, r, small, size, mult, graph_seed, search_seed, budget, batch
     ):
         # Graphs on both sides of _SMALL_N; batches of 1 and 3 end most budgets
-        # mid-batch, and budgets past n / k empty the pool.
-        k = r + extra
-        n = k + size if small else percolation_module._SMALL_N + 1 + size
+        # mid-batch, and budgets past n / (r + 1) empty the pool.
+        n = r + 1 + size if small else percolation_module._SMALL_N + 1 + size
         g = near_threshold_graph(n, r, mult, graph_seed)
         got, want = [], []
         with mock.patch.object(construct_module, "_BATCH", batch):
-            found = batched_search(g, r, k, budget, search_seed, got)
-        assert found == naive_tuple_search(g, r, k, budget, search_seed, want)
+            found = batched_search(g, r, budget, search_seed, got)
+        assert found == naive_tuple_search(g, r, budget, search_seed, want)
         assert got == want  # the same chains judged, in the same order
 
     @pytest.mark.parametrize(
@@ -445,8 +415,8 @@ class TestBatchedTupleSearch:
 
         got, want = [], []
         with mock.patch.object(construct_module, "gather_rows", spy):
-            result = batched_search(g, 2, 3, n, 7, got)
+            result = batched_search(g, 2, n, 7, got)
         assert len(scored) > len(set(scored))  # some vertex chosen in two batches
         assert (result is not None) == found
-        assert result == naive_tuple_search(g, 2, 3, n, 7, want)
+        assert result == naive_tuple_search(g, 2, n, 7, want)
         assert got == want

@@ -221,7 +221,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("trials", None), ("n_list", ("100",)), ("r", 2.5), ("jobs", True), ("c1", "0.1")],
+        [("trials", None), ("n_list", ("100",)), ("r", 2.5), ("jobs", True), ("rel_tol", "0.1")],
     )
     def test_wrong_type_names_its_field(self, field, value):
         values = {"mode": "sweep", "n_list": (10,), "d_list": (5.0,), field: value}
@@ -318,8 +318,10 @@ class TestCli:
 
     def test_config_rejects_unknown_keys(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_list": [100], "bogus": 1}))
-        assert main(["sweep", "--config", str(cfg)]) == 1
+        for key in ("bogus", "c1", "k_target"):  # c1 and k_target were search knobs
+            cfg.write_text(json.dumps({"n_list": [100], key: 1}))
+            assert main(["sweep", "--config", str(cfg)]) == 1
+            assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field,value", [("trials", None), ("n_list", ["100"]), ("n_list", 100)]
@@ -341,7 +343,9 @@ class TestCli:
             ("threshold", "--p-max-factor", "0.5", "p_max_factor"),
             ("generations", "--threshold-mult", "0", "threshold_mult"),
             ("generations", "--threshold-mult", "-2", "threshold_mult"),
-            ("threshold", "--c1", "0", "c1"),
+            # removed search knobs
+            ("generations", "--c1", "0.1", "--c1"),
+            ("threshold", "--k-target", "4", "--k-target"),
         ],
     )
     def test_out_of_range_knob_exits_1_naming_it(self, capsys, mode, flag, value, field):
@@ -352,9 +356,12 @@ class TestCli:
         "argv,field",
         [
             (["partial", "--n", "300", "--d", "12", "--slack", "-1"], "partial_slack"),
-            (["generations", "--n", "300", "--k-target", "0"], "k_target"),
-            (["generations", "--n", "300", "--r", "3", "--k-target", "3"], "k_target"),
-            (["sweep", "--n", "300", "--d", "10", "--c1", "0"], "c1"),
+            # the tuple search takes r + 1 vertices; n = 1 used to divide by log 1 = 0
+            (["threshold", "--n", "1"], "n_list"),
+            (["threshold", "--n", "2"], "n_list"),
+            (["threshold", "--n", "300,3", "--r", "3"], "n_list"),
+            (["generations", "--n", "1"], "n_list"),
+            (["generations", "--n", "2", "--p", "0.5"], "n_list"),
         ],
     )
     def test_out_of_range_config_field_exits_1_naming_it(self, capsys, argv, field):
@@ -379,33 +386,33 @@ PINNED_OUTPUT = {
     "sweep": (
         dict(mode="sweep", n_list=(1500, 3000), d_list=(30.0, 60.0), trials=2),
         "c472ea934056fe8e6154335c60b52bc4",
-        "2dd7a72b6beaaace1cc3025870fa0896",
+        "d27819d56760156bc06be89a49a8954f",
     ),
     "threshold": (
         dict(mode="threshold", n_list=(2000, 4000), probe_trials=6),
         "32aaa49d01b2637d921f7423bf582584",
-        "bcb10acf0e16fe28f31193deb46306cd",
+        "db60ba9ed06ee9e7d782fcf70a29685b",
     ),
     "compare": (
         dict(mode="compare", n_list=(3000,), d_list=(10.0, 20.0), trials=2),
         "6a5caa53ca04a0b72310fc37144dd894",
-        "5f0f3aeebcef737170e5628df9a842a6",
+        "1fa495f7d93d5521a019d5682ce8336b",
     ),
     "generations": (
         dict(mode="generations", n_list=(2000,), trials=3),
         "1e45ce74d8a747004432fec63447816d",
-        "5d22a9cbefa8e836378bad209278d5c0",
+        "33e4dd3d7cc4e62deae56f68983154bc",
     ),
     "generations_p_list": (
         dict(mode="generations", n_list=(2000,), p_list=(0.004, 0.02), trials=3),
         "14b9efd52197b45493f7e57d14d96b2a",
-        "bc6b06f1951d913198daed0b5bf14f6a",
+        "9884237b645a549c38f5096f4c19a6c3",
     ),
     "partial": (
         # d = 5 lies below partial_d0 = 10, d = 12 above it
         dict(mode="partial", n_list=(2000,), d_list=(5.0, 12.0), trials=2),
         "dff8660d566bc68401e63fa140df4688",
-        "4141dc4920e6237cb6294ba600508edf",
+        "36e83811f66e4b4ece9472de2eca4a04",
     ),
 }
 
