@@ -1,15 +1,18 @@
 """Exact minimum contagious set by iterative-deepening enumeration.
 
 Meant for small instances (tens of vertices).  Degree-deficient vertices
-can never be activated, so every candidate set is forced to contain them;
-enumeration then deepens over how many free vertices are added.  Each
-search node's closure extends its parent's: the child is a copy of the
-parent's ``Percolator`` state with one more seed, so a node pays only for
-the vertices its seed activates.  Two sound prunes keep the tree small: a
-vertex already inside the running closure is never added (a smaller witness
-would have been found at an earlier depth), and subtrees whose (depth,
-closure) signature was already explored from a smaller candidate pool are
-skipped; the signature holds the closure as an int bitmask.
+can never be activated, so every candidate set contains them; enumeration
+deepens over how many free vertices are added, in id order, so the first
+set found is the lexicographically first minimum.  A child node is a copy
+of its parent's ``Percolator`` state (on the list path at every n, so each
+closure is an int bitmask) with one more seed, so it pays only for what
+that seed activates.  Each prune skips only sets that cannot be contagious:
+a candidate already active (a smaller depth failed), one inside the closure
+of an earlier sibling whose subtree failed (every set under it closes
+inside one under that sibling), a last seed that starts no wave unless it
+is the one inactive vertex (it activates itself alone), and a subtree whose
+(depth, closure) signature was explored from a candidate pool at least as
+large.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .graph import Graph
-from .percolation import Percolator, checked_threshold, mandatory_seeds, percolate
+from .percolation import Percolator, _list_state, checked_threshold, mandatory_seeds, percolate
 
 __all__ = ["ExactResult", "min_contagious_exact", "DEFAULT_NODE_BUDGET"]
 
@@ -64,14 +67,14 @@ def min_contagious_exact(
     mandatory = sorted(mandatory_seeds(graph, r))
     tests = 0
 
-    def extend(closure: Percolator, seeds) -> Percolator:
+    def extend(closure: Percolator, seeds: list[int]) -> Percolator:
         nonlocal tests
         if tests >= node_budget:
             raise _BudgetExceeded
         tests += 1
-        return closure.copy().add_seeds(seeds)
+        return closure.copy()._seed(seeds)
 
-    base = extend(Percolator(graph, r), mandatory)
+    base = extend(_list_state(graph, r), mandatory)
     if base.contagious:
         return ExactResult(len(mandatory), frozenset(mandatory), tests, "exact")
 
@@ -83,10 +86,12 @@ def min_contagious_exact(
         memo: dict[tuple[int, int], int] = {}
 
         def dfs(start: int, closure: Percolator, slots: int, chosen: list[int]):
+            # bits of the candidates to skip; failed siblings add their closures
+            skip = closure.active_mask if slots > 1 else _dead_last_seeds(closure)
             for idx in range(start, len(free) - slots + 1):
                 v = free[idx]
-                if closure.is_active(v):
-                    continue  # adding it changes nothing; smaller depths failed
+                if skip >> v & 1:
+                    continue
                 child = extend(closure, [v])
                 if child.contagious:
                     if slots != 1:
@@ -94,16 +99,16 @@ def min_contagious_exact(
                             "full closure reached above the current depth"
                         )
                     return chosen + [v]
-                if slots == 1:
-                    continue
-                key = (slots - 1, child.active_mask)
-                prev = memo.get(key)
-                if prev is not None and prev <= idx:
-                    continue
-                memo[key] = idx
-                found = dfs(idx + 1, child, slots - 1, chosen + [v])
-                if found is not None:
-                    return found
+                if slots > 1:
+                    key = (slots - 1, child.active_mask)
+                    prev = memo.get(key)
+                    if prev is None or prev > idx:
+                        memo[key] = idx
+                        found = dfs(idx + 1, child, slots - 1, chosen + [v])
+                        if found is not None:
+                            return found
+                # v's subtree failed, and so would any later candidate's inside it
+                skip |= child.active_mask
             return None
 
         try:
@@ -119,3 +124,12 @@ def min_contagious_exact(
     # Seeding every vertex is always contagious, so the loop cannot fall
     # through; reaching here means the free list missed something.
     raise SolverInternalError("enumeration exhausted without a witness")
+
+
+def _dead_last_seeds(closure: Percolator) -> int:
+    """Bits of the vertices that cannot be the seed that makes ``closure``
+    contagious: the active ones, and those that start no wave unless only
+    one vertex is inactive."""
+    if closure.graph.vertex_count - closure.active_count < 2:
+        return closure.active_mask
+    return ~closure._wave_starters()

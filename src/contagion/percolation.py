@@ -94,9 +94,10 @@ class Percolator:
     ``validate_result``, but a fresh ``percolate`` of the union numbers the
     generations differently.  Up to ``_SMALL_N`` vertices the generation map
     and the active-neighbour counts ``hits`` are lists, with an int bitmask of
-    the active set beside them.  Above it a fresh state holds them as dicts
-    keyed by vertex and steps each wave one adjacency row at a time, so a run
-    that stalls early costs what it touched, not O(n); the first time a wave
+    the active set beside them (the exact solver's states keep this list path
+    at every n).  Above it a fresh state holds them as dicts keyed by vertex
+    and steps each wave one adjacency row at a time, so a run that stalls
+    early costs what it touched, not O(n); the first time a wave
     (the seed batch counts as one) spans more than ``_SPARSE_ENTRIES``
     entries, the state moves to numpy arrays and the push/pull waves of
     ``graph.spread``, where ``hits`` is exact for inactive vertices only.
@@ -146,9 +147,12 @@ class Percolator:
         """Seed the inactive ids among ``vs`` and run to fixation; returns self."""
         ids, generation = vertex_ids(vs, self.graph.vertex_count, what="seed"), self._generation
         if type(generation) is dict:
-            fresh = [v for v in ids if v not in generation]
-        else:
-            fresh = [v for v in ids if generation[v] == NEVER]
+            return self._seed([v for v in ids if v not in generation])
+        return self._seed([v for v in ids if generation[v] == NEVER])
+
+    def _seed(self, fresh: list[int]) -> "Percolator":
+        """Seed ``fresh``, distinct inactive valid ids, and run to fixation; returns self."""
+        generation = self._generation
         for v in fresh:
             generation[v] = 0
         self._seeds.extend(fresh)
@@ -174,6 +178,21 @@ class Percolator:
             active_count=self.active_count,
             per_round_counts=tuple(self._per_round),
         )
+
+    def _wave_starters(self) -> int:
+        """Bits of the inactive vertices whose seeding activates another vertex.
+
+        List path only, where ``hits`` is exact for inactive vertices: seeding
+        u does so exactly when an inactive neighbour of u has r - 1 active ones.
+        """
+        r1, generation, hits, adjacency = self.r - 1, self._generation, self._hits, self.graph.adjacency
+        starters, w = 0, -1
+        for _ in range(hits.count(r1)):
+            w = hits.index(r1, w + 1)  # list scans run at C speed
+            if generation[w] == NEVER:
+                for u in adjacency[w]:
+                    starters |= 1 << u
+        return starters & ~self._mask
 
     def _generation_array(self) -> np.ndarray:
         if type(self._generation) is dict:
@@ -237,6 +256,15 @@ class Percolator:
             self.active_count += len(newly)
             frontier = newly
         self._mask = mask
+
+
+def _list_state(graph: Graph, r: int) -> Percolator:
+    """A fresh state on the list path at any n: the exact solver's root."""
+    state = Percolator(graph, r)
+    if not state._small:
+        n = graph.vertex_count
+        state._small, state._generation, state._hits = True, [NEVER] * n, [0] * n
+    return state
 
 
 def _filled(n: int, fill: int, values: dict[int, int]) -> np.ndarray:

@@ -148,7 +148,8 @@ def naive_induced_edges(edges, subset):
 
 
 def naive_min_contagious(adj, r, n):
-    """Exhaustive minimum contagious set by subset enumeration."""
+    """Exhaustive minimum contagious set by subset enumeration; subsets of each
+    size come in lexicographic order, so the set is the first minimum."""
     for k in range(0, n + 1):
         for cand in itertools.combinations(range(n), k):
             gen, _ = naive_percolate(adj, cand, r)

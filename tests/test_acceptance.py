@@ -78,8 +78,10 @@ def test_c01_engine_and_solver_match_oracles():
         checked_engine += 1
 
         exact = min_contagious_exact(g, r)
-        size_oracle, _ = naive_min_contagious(adj, r, n)
+        size_oracle, witness_oracle = naive_min_contagious(adj, r, n)
         assert exact.size == size_oracle, f"solver {exact.size} != enumeration {size_oracle}"
+        # enumeration runs in lexicographic order, so its set is the first minimum
+        assert exact.witness == witness_oracle
         assert exact.status == "exact"
         assert percolate(g, exact.witness, r).contagious
         checked_solver += 1

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from contagion import (
     GnpParams,
     Graph,
+    Percolator,
     construct_contagious,
     mandatory_seeds,
     min_contagious_exact,
     percolate,
     sample_gnp,
 )
+from contagion.exact import _dead_last_seeds
+from contagion.percolation import _list_state
 
 from conftest import (
     adjacency_sets,
@@ -46,7 +51,7 @@ class TestKnownValues:
         g = complete_graph(r + 1)
         res = min_contagious_exact(g, r)
         assert res.size == r
-        nodes = {2: 6, 3: 17, 4: 43}[r]  # pinned like TestPinnedOutcomes
+        nodes = {2: 3, 3: 7, 4: 18}[r]  # pinned like TestPinnedOutcomes
         assert outcome(res) == (r, list(range(r)), nodes, "exact")
 
     def test_petersen_regression(self, petersen):
@@ -75,29 +80,30 @@ class TestKnownValues:
         assert res.status == "exact"
 
 
-# (size, witness, nodes_explored, status) of each random_small instance, as
-# computed by the solver that percolated every child closure from scratch.
+# (size, witness, nodes_explored, status) of each random_small instance.  The
+# sizes and witnesses are those of the solver that percolated every child
+# closure from scratch; the node counts are those of the pruned search.
 RANDOM_SMALL_PINS = {
     0: (6, [0, 2, 4, 5, 6, 7], 2, "exact"),
     1: (5, [0, 1, 2, 3, 4], 1, "exact"),
-    2: (6, [1, 2, 3, 4, 5, 6], 3, "exact"),
+    2: (6, [1, 2, 3, 4, 5, 6], 2, "exact"),
     3: (7, [0, 1, 2, 4, 5, 6, 7], 1, "exact"),
     4: (5, [1, 2, 3, 4, 6], 2, "exact"),
-    5: (2, [0, 1], 10, "exact"),
+    5: (2, [0, 1], 3, "exact"),
     6: (5, [0, 1, 2, 3, 4], 1, "exact"),
-    7: (4, [0, 1, 6, 8], 51, "exact"),
+    7: (4, [0, 1, 6, 8], 16, "exact"),
     8: (7, [0, 1, 2, 3, 4, 5, 6], 1, "exact"),
     9: (4, [0, 1, 2, 3], 1, "exact"),
-    10: (2, [0, 1], 10, "exact"),
+    10: (2, [0, 1], 3, "exact"),
     11: (2, [0, 1], 1, "exact"),
     12: (6, [0, 1, 2, 3, 4, 5], 1, "exact"),
-    13: (3, [0, 2, 4], 66, "exact"),
+    13: (3, [0, 2, 4], 16, "exact"),
     14: (2, [0, 1], 1, "exact"),
-    15: (3, [0, 1, 2], 57, "exact"),
+    15: (3, [0, 1, 2], 12, "exact"),
     16: (4, [0, 1, 2, 3], 2, "exact"),
-    17: (2, [0, 1], 10, "exact"),
-    18: (4, [0, 4, 5, 6], 13, "exact"),
-    19: (4, [1, 2, 4, 5], 3, "exact"),
+    17: (2, [0, 1], 3, "exact"),
+    18: (4, [0, 4, 5, 6], 7, "exact"),
+    19: (4, [1, 2, 4, 5], 2, "exact"),
 }
 
 
@@ -107,24 +113,28 @@ def outcome(res):
 
 
 class TestPinnedOutcomes:
-    """Equal nodes_explored shows that the search visited the same tree."""
+    """Sizes and witnesses are those of the solver that percolated every child
+    closure from scratch.  nodes_explored pins the tree the pruned search
+    visits: a changed count means a changed tree, even with the same answer."""
 
     @pytest.mark.parametrize(
         "graph, r, budget, expected",
         [
-            ("petersen", 2, None, (3, [0, 2, 8], 82, "exact")),
-            ("petersen", 3, None, (6, [0, 1, 3, 7, 8, 9], 1096, "exact")),
-            ("k4_iso", 2, None, (3, [0, 1, 4], 7, "exact")),
-            ("c4", 2, None, (2, [0, 2], 8, "exact")),
-            ("path5", 2, None, (3, [0, 2, 4], 3, "exact")),
-            ((40, 0.12, 3), 2, None, (3, [0, 2, 11], 43, "exact")),
-            ((40, 0.12, 3), 2, 5, (2, None, 5, "budget_exceeded")),
-            ((30, 0.12, 1), 2, None, (12, [0, 1, 2, 5, 7, 10, 16, 17, 22, 24, 25, 27], 6086, "exact")),
-            ((30, 0.12, 1), 2, 2000, (11, None, 2000, "budget_exceeded")),
+            ("petersen", 2, None, (3, [0, 2, 8], 50, "exact")),
+            ("petersen", 3, None, (6, [0, 1, 3, 7, 8, 9], 578, "exact")),
+            ("k4_iso", 2, None, (3, [0, 1, 4], 3, "exact")),
+            ("c4", 2, None, (2, [0, 2], 3, "exact")),
+            ("path5", 2, None, (3, [0, 2, 4], 2, "exact")),
+            ((40, 0.12, 3), 2, None, (3, [0, 2, 11], 7, "exact")),
+            ((40, 0.12, 3), 2, 5, (3, None, 5, "budget_exceeded")),
+            ((30, 0.12, 1), 2, None, (12, [0, 1, 2, 5, 7, 10, 16, 17, 22, 24, 25, 27], 1637, "exact")),
+            ((30, 0.12, 1), 2, 2000, (12, [0, 1, 2, 5, 7, 10, 16, 17, 22, 24, 25, 27], 1637, "exact")),
             ((30, 0.15, 2), 3, 5000, (5, None, 5000, "budget_exceeded")),
-            ((36, 0.14, 4), 3, None, (10, [0, 1, 7, 9, 21, 23, 28, 30, 32, 34], 844, "exact")),
-            # more than _SMALL_N vertices: the numpy engine path
-            ((600, 0.001, 2), 2, 3000, (533, None, 3000, "budget_exceeded")),
+            ((36, 0.14, 4), 3, None, (10, [0, 1, 7, 9, 21, 23, 28, 30, 32, 34], 269, "exact")),
+            # more than _SMALL_N vertices: the solver's states stay on the list path
+            ((600, 0.001, 2), 2, 3000, (534, None, 3000, "budget_exceeded")),
+            # the 2000 budget above now suffices; 1000 still stops a level short
+            ((30, 0.12, 1), 2, 1000, (11, None, 1000, "budget_exceeded")),
         ],
     )
     def test_matches_from_scratch_solver(self, request, graph, r, budget, expected):
@@ -148,12 +158,74 @@ class TestAgainstEnumeration:
         adj = adjacency_sets(edges, n)
 
         res = min_contagious_exact(g, r)
-        size_oracle, _ = naive_min_contagious(adj, r, n)
+        size_oracle, witness_oracle = naive_min_contagious(adj, r, n)
 
         assert res.size == size_oracle
+        assert res.witness == witness_oracle  # the lexicographically first minimum
         assert outcome(res) == RANDOM_SMALL_PINS[seed]
         assert len(res.witness) == res.size
         assert percolate(g, res.witness, r).contagious
+
+
+def solve_and_list_tests(graph, r):
+    """Solve, and list the seed sets whose closures were computed, in order;
+    the last is the re-verification of the witness."""
+    sets = []
+    seed = Percolator._seed
+
+    def spy(state, fresh):
+        seed(state, fresh)
+        sets.append(tuple(sorted(state._seeds)))
+        return state
+
+    with mock.patch.object(Percolator, "_seed", spy):
+        res = min_contagious_exact(graph, r)
+    return res, sets
+
+
+class TestPrunes:
+    """Hand-built cases of the closure-dominance and last-seed skips."""
+
+    def test_last_seed_must_start_a_wave(self, c4):
+        # At depth 1 no single seed activates anything.  Under {0}, 1 and 3
+        # each have one active neighbour, so only 2, their common neighbour,
+        # starts a wave: {0, 1} and {0, 3} are never tested.
+        res, sets = solve_and_list_tests(c4, 2)
+        assert sets == [(), (0,), (0, 2), (0, 2)]
+        assert outcome(res) == (2, [0, 2], 3, "exact")
+
+    def test_closure_dominance(self):
+        # A bowtie, triangles {1, 3, 4} and {1, 5, 6} sharing the hub 1, with
+        # the tail 1 - 2 - 0; 0 has one neighbour, so it is seeded at the root.
+        # No {0, 1, x} is contagious, so once 1's subtree has failed the root
+        # skips 2, inside the closure {0, 1, 2}: {0, 2} is never tested.  Under
+        # {0, 1}, 4 is skipped after {0, 1, 3} fails, and 6 after {0, 1, 5}.
+        # Under {0, 3}, 5 lies inside the closure of the later sibling 6,
+        # whose subtree has not run, so 5 must still be tried: {0, 3, 5} is the
+        # first minimum, {0, 3, 6} the second.
+        g = Graph.from_edges(
+            7, [(0, 2), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (3, 4), (5, 6)]
+        )
+        res, sets = solve_and_list_tests(g, 2)
+        assert sets == [
+            (0,), (0, 1),  # depth 1
+            (0, 1), (0, 1, 3), (0, 1, 5), (0, 3), (0, 3, 4), (0, 3, 5),  # depth 2
+            (0, 3, 5),
+        ]
+        assert outcome(res) == (3, [0, 3, 5], 8, "exact")
+        assert percolate(g, [0, 3, 6], 2).contagious
+
+    def test_last_seed_may_be_the_one_inactive_vertex(self, c4):
+        # On the path 0 - 1 - 2 from {0, 1}, vertex 2 is the one inactive
+        # vertex: seeding it starts no wave, yet finishes the closure.  The
+        # solver never meets such a state (that vertex has fewer than r
+        # neighbours, so it is seeded at the root); the rule is checked alone.
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        state = _list_state(g, 2).add_seeds([0, 1])
+        assert state.active_count == 2 and state._wave_starters() == 0
+        assert [_dead_last_seeds(state) >> v & 1 for v in range(3)] == [1, 1, 0]
+        state = _list_state(c4, 2).add_seeds([0])
+        assert [_dead_last_seeds(state) >> v & 1 for v in range(4)] == [1, 1, 0, 1]
 
 
 class TestSolverLaws:

@@ -526,6 +526,32 @@ class TestPercolator:
         with pytest.raises(ValueError, match="seed id 1.5 is not an integer"):
             percolate(c4, [1.5, 3.2], 2)
 
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_batches())
+    def test_wave_starters_match_seeded_copies(self, case):
+        g, batches, r = case
+        state = percolation_module._list_state(g, r)
+        for batch in batches:
+            state.add_seeds(batch)
+        for v in range(g.vertex_count):
+            if not state.is_active(v):
+                grown = state.copy().add_seeds([v]).active_count - state.active_count
+                assert state._wave_starters() >> v & 1 == (grown > 1), v
+
+    def test_list_state_at_any_size(self):
+        # the exact solver's states keep plain lists and the int mask above _SMALL_N
+        g = sample_gnp(GnpParams(600, 4.0 / 600, 3))
+        seeds = list(range(0, 600, 7))
+        state = percolation_module._list_state(g, 2)
+        assert g.vertex_count > percolation_module._SMALL_N and state._small
+        child = state.copy().add_seeds(seeds[:40]).copy().add_seeds(seeds[40:])
+        ref = percolate(g, seeds, 2)
+        assert child.active_mask == sum(1 << v for v in ref.active)
+        assert child.result().active == ref.active
+        assert_hits_exact(child)
+        validate_result(g, child.result())
+        assert state.active_count == 0
+
     def test_switch_mid_run(self):
         # 0 and 1 feed 2 and 3 inside a K8 on 2..9: the seed wave spans 4
         # entries and stays sparse; the next, over rows of degree 9, does not.
