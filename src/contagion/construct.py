@@ -11,8 +11,8 @@ schedule) it falls back to mandatory seeds plus greedy completion.
 ``search_minimal_tuple`` hunts for an r-element contagious set by drawing
 r pool vertices, extending them by one pool vertex adjacent to all r, and
 percolating the initial r to check the find.  Both procedures re-verify
-every returned set with the engine; an unverifiable return is an internal
-error, never a silent result.
+every returned set with a fresh engine run (the staged run from a01 when
+a02 is empty); an unverifiable return is an internal error, never silent.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def construct_contagious(
     The procedure is deterministic: block choices break ties toward lower
     vertex ids.  The returned set is always verified contagious by the
     engine before this function returns, and ``trace.result`` holds that
-    run: a fresh ``percolate`` of the final set on either path.
+    run: a fresh ``percolate`` of the final set (the staged one from a01 if a02 is empty).
     """
     params = params or StageParams()
     n = graph.vertex_count
@@ -138,13 +138,13 @@ def construct_contagious(
         seeds, trace = _fallback_construct(graph, r, d)
     else:
         seeds, trace = _staged_construct(graph, r, d, c_seed, initial_target)
-    check = percolate(graph, seeds, r)
-    if not check.contagious:
+    if trace.result is None:
+        trace.result = percolate(graph, seeds, r)
+    if not trace.result.contagious:
         raise ConstructionError(
             f"constructed set of size {len(seeds)} failed verification "
-            f"({check.active_count} of {n} active)"
+            f"({trace.result.active_count} of {n} active)"
         )
-    trace.result = check
     return seeds, trace
 
 
@@ -242,6 +242,7 @@ def _staged_construct(graph, r, d, c_seed, initial_target):
         a02=a02,
         final_seeds=final,
         fallback_used=False,
+        result=None if a02 else stage_run,  # with a02 empty, a fresh run of the final set
     )
     return frozenset(final), trace
 

@@ -3,9 +3,11 @@
 Five batch modes: ``sweep`` (constructed size scaling across mean degree),
 ``threshold`` (bisection for the probability where the r-tuple search
 crosses 50 percent success), ``compare`` (random seed sets above and below
-the critical size against constructed ones), ``generations`` (round counts
-and per-round growth checks on near-threshold finds), and ``partial``
-(random half activations and how little they leave behind).
+the critical size against constructed ones, and that size found in one
+pass over one random order), ``generations`` (round counts and per-round
+growth checks on near-threshold finds), and ``partial`` (random half
+activations and how little they leave behind).  Each constructed set is
+verified once, by the fresh engine run the constructor keeps as ``trace.result``.
 
 Reproducibility contract: each trial's seed is a stable hash of
 (master_seed, mode, n, d-or-p, trial index, role), so results do not
@@ -35,7 +37,7 @@ import numpy as np
 from .bounds import critical_random_seed_size
 from .construct import StageParams, TupleSearchParams, construct_contagious, search_minimal_tuple
 from .graph import GnpParams, sample_gnp
-from .percolation import PercolationResult, checked_threshold, percolate
+from .percolation import PercolationResult, Percolator, checked_threshold, percolate
 
 __all__ = [
     "CSV_HEADER_V1",
@@ -373,34 +375,20 @@ def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
         )
     )
 
-    # Integer bisection over random-set size: smallest size whose fresh
-    # random draw reaches the full-cascade fraction in this trial.
-    def cascades(size: int) -> bool:
-        if size >= n:
-            return True
-        if size <= 0:
-            return False
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "bisect", size)))
-        res = percolate(graph, rng.choice(n, size=size, replace=False), r)
-        return res.active_count >= full_fraction * n
-
-    hi_s = size_hi if frac_hi >= full_fraction else max(1, 2 * size_hi)
-    while hi_s < n and not cascades(hi_s):
-        hi_s = min(n, 2 * hi_s)
-    lo_s = 0
-    while hi_s - lo_s > 1:
-        mid = (lo_s + hi_s) // 2
-        if cascades(mid):
-            hi_s = mid
-        else:
-            lo_s = mid
+    # One pass over one random order (Newman and Ziff, PRL 85, 2000): prefix closures
+    # are nested, so the first one to reach the cascade fraction gives the critical size.
+    order = np.random.Generator(np.random.PCG64(derive_seed(seed, "critical"))).permutation(n)
+    state, size = Percolator(graph, r), 0
+    while state.active_count < full_fraction * n:
+        state.add_seeds(order[size : size + 1])
+        size += 1
     records.append(
         ExperimentRecord(
             **common,
             variant="critical_size",
-            seed_size=hi_s,
+            seed_size=size,
             success=True,
-            value=float(hi_s),
+            value=float(size),
             value2=a_c,
         )
     )

@@ -58,7 +58,12 @@ def vertex_ids(vertices: Iterable[int], n: int, *, what: str = "vertex") -> set[
 
 
 def as_vertex_array(vertices: Iterable[int], n: int, *, what: str = "vertex") -> np.ndarray:
-    """The ids of ``vertices`` as a sorted unique int64 array, checked as in ``vertex_ids``."""
+    """The ids of ``vertices`` as a sorted unique int64 array, checked as in ``vertex_ids``;
+    of an integer array only the least and greatest id go through that check."""
+    if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
+        ids = vertices.ravel()
+        vertex_ids([ids.min(), ids.max()] if ids.size else [], n, what=what)
+        return count_by_vertex(ids.astype(np.int64), n, counts=False)[0]
     return np.array(sorted(vertex_ids(vertices, n, what=what)), dtype=np.int64)
 
 
@@ -437,21 +442,28 @@ def connected_components(
 
     Returned as sorted member lists, ordered by size descending and then by
     smallest member id ascending, so callers can take the head as "largest".
+    Members with no neighbour in ``restrict`` are found in one numpy pass;
+    ``_reach`` runs once for each other component.
     """
     n = graph.vertex_count
     members = np.arange(n) if restrict is None else as_vertex_array(restrict, n)
     label = np.full(n, UNREACHED - 1, dtype=np.int32)  # outside the restriction
     label[members] = UNREACHED
+    # A member that no member's row lists has no neighbour inside: a component of its own.
+    linked = np.zeros(n, dtype=bool)
+    linked[graph.indices if restrict is None else gather_rows(graph, members)] = True
+    lone = members[~linked[members]]
+    label[lone] = UNREACHED - 1  # so no BFS starts from one
     # No earlier component neighbours an unreached member, so a pull counts
     # only the current run's vertices as reached.
-    left, components = members.size, []
+    left, components = members.size - lone.size, []
     for v in members.tolist():
         if label[v] == UNREACHED:
             component = _reach(graph, v, label, left)
             left -= component.size
             components.append(np.sort(component).tolist())
     components.sort(key=lambda c: (-len(c), c[0]))
-    return components
+    return components + [[v] for v in lone.tolist()]  # every other component has 2 or more
 
 
 def is_connected(graph: Graph) -> bool:

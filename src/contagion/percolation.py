@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import UNREACHED, Graph, spread, vertex_ids
+from .graph import UNREACHED, Graph, as_vertex_array, spread, vertex_ids
 
 __all__ = ["NEVER", "PercolationResult", "Percolator", "percolate", "mandatory_seeds", "validate_result"]
 
@@ -124,11 +124,10 @@ class Percolator:
 
     @property
     def active_mask(self) -> int:
-        """The active set as an int with bit v set for each active v."""
-        if self._small:
-            return self._mask
-        bits = np.packbits(self._generation_array() != NEVER, bitorder="little")
-        return int.from_bytes(bits.tobytes(), "little")
+        """The active set as an int with bit v set for each active v; list path only."""
+        if not self._small:
+            raise RuntimeError("active_mask is kept on the list path only")
+        return self._mask
 
     def is_active(self, v: int) -> bool:
         if type(self._generation) is dict:
@@ -144,7 +143,18 @@ class Percolator:
         return child
 
     def add_seeds(self, vs: Iterable[int]) -> "Percolator":
-        """Seed the inactive ids among ``vs`` and run to fixation; returns self."""
+        """Seed the inactive ids among ``vs`` and run to fixation; returns self.
+        Off the list path an array of over ``_SPARSE_ENTRIES`` ids is seeded in numpy."""
+        if isinstance(vs, np.ndarray) and vs.size > _SPARSE_ENTRIES and not self._small:
+            ids = as_vertex_array(vs, self.graph.vertex_count, what="seed")
+            if type(self._generation) is dict:
+                self._to_arrays()
+            fresh = ids[self._generation[ids] == NEVER]
+            self._generation[fresh] = 0
+            self._seeds.extend(fresh.tolist())
+            self.active_count += fresh.size
+            self._spread_numpy(fresh)
+            return self
         ids, generation = vertex_ids(vs, self.graph.vertex_count, what="seed"), self._generation
         if type(generation) is dict:
             return self._seed([v for v in ids if v not in generation])
@@ -207,8 +217,7 @@ class Percolator:
             sliced = len(frontier) <= _SPARSE_ENTRIES
             rows = [indices[indptr[u] : indptr[u + 1]] for u in frontier] if sliced else []
             if not sliced or sum(map(len, rows)) > _SPARSE_ENTRIES:
-                n = self.graph.vertex_count
-                self._generation, self._hits = _filled(n, NEVER, generation), _filled(n, 0, hits)
+                self._to_arrays()
                 self._spread_numpy(np.array(frontier, dtype=np.int64))
                 return
             newly: list[int] = []
@@ -226,6 +235,10 @@ class Percolator:
             generation.update(dict.fromkeys(newly, len(self._per_round)))
             self.active_count += len(newly)
             frontier = newly
+
+    def _to_arrays(self) -> None:
+        n = self.graph.vertex_count
+        self._generation, self._hits = _filled(n, NEVER, self._generation), _filled(n, 0, self._hits)
 
     def _spread_numpy(self, frontier: np.ndarray) -> None:
         left = self.graph.vertex_count - self.active_count

@@ -201,6 +201,34 @@ class TestConstructor:
         assert trace.result.contagious
         assert "result" not in trace.to_json_dict()
 
+    # (n, p, rng_seed), whether the staged schedule runs, whether a02 is empty,
+    # and the percolate calls made: the staged run from a01 is the check when
+    # a02 is empty; otherwise, and on the fallback, one fresh run verifies.
+    @pytest.mark.parametrize(
+        "gnp, staged, a02_empty, runs",
+        [
+            ((3000, 20.0 / 3000, 1), True, True, 1),
+            ((2000, 9.0 / 2000, 1), True, False, 2),
+            ((500, 2.0 / 500, 4), False, False, 1),
+        ],
+    )
+    def test_result_equals_fresh_run_of_final_seeds(self, monkeypatch, gnp, staged, a02_empty, runs):
+        g = sample_gnp(GnpParams(*gnp))
+        calls = []
+
+        def counting_percolate(*args):
+            calls.append(percolate(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(construct_module, "percolate", counting_percolate)
+        seeds, trace = construct_contagious(g)
+        assert (not trace.fallback_used, not trace.a02) == (staged, a02_empty)
+        assert len(calls) == runs and trace.result is calls[-1]
+        fresh = percolate(g, trace.final_seeds, 2)
+        assert trace.result.seeds == seeds == frozenset(trace.final_seeds)
+        assert np.array_equal(trace.result.generation, fresh.generation)
+        assert (trace.result.tau, trace.result.per_round_counts) == (fresh.tau, fresh.per_round_counts)
+
     def test_trace_json_round_trip(self):
         g = sample_gnp(GnpParams(20_000, 40.0 / 20_000, 3))
         _, trace = construct_contagious(g)

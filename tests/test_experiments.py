@@ -7,6 +7,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from contagion import (
@@ -22,8 +23,11 @@ from contagion import (
     statistical_thresholds,
 )
 from contagion import cli
+from contagion import percolation as percolation_module
 from contagion.cli import main
-from contagion.experiments import ExperimentRecord
+from contagion.experiments import ExperimentRecord, _compare_trial, _trial_start
+
+from conftest import adjacency_sets, naive_percolate
 
 
 class TestDeriveSeed:
@@ -179,6 +183,31 @@ class TestDeterminism:
         out = run_experiment(small_cfg)
         keys = [r.sort_key() for r in out.records]
         assert keys == sorted(keys)
+
+
+# Engine paths for the one-pass critical size, as (_SMALL_N, _SPARSE_ENTRIES):
+# the list path, sparse states that move to arrays at the package's own
+# switch, and states that move at their first wave.
+CRITICAL_PATHS = {"python": (10**9, 2048), "sparse": (-1, 2048), "dense": (-1, 0)}
+
+
+@pytest.mark.parametrize("path", CRITICAL_PATHS)
+@pytest.mark.parametrize("n, d, r, trial", [(120, 6.0, 2, 0), (200, 4.0, 2, 1), (150, 12.0, 3, 0)])
+def test_critical_size_is_first_crossing_of_one_order(monkeypatch, path, n, d, r, trial):
+    """critical_size is the smallest k whose first k vertices of the trial's order
+    reach the cascade fraction, by the rescan oracle."""
+    small_n, entries = CRITICAL_PATHS[path]
+    monkeypatch.setattr(percolation_module, "_SMALL_N", small_n)
+    monkeypatch.setattr(percolation_module, "_SPARSE_ENTRIES", entries)
+    cfg = ExperimentConfig(mode="compare", n_list=(n,), d_list=(d,), r=r, trials=trial + 1, master_seed=5)
+    (record,) = [rec for rec in _compare_trial(cfg, n, d, trial) if rec.variant == "critical_size"]
+    seed, graph, _ = _trial_start(cfg, n, d, trial)
+    order = np.random.Generator(np.random.PCG64(derive_seed(seed, "critical"))).permutation(n).tolist()
+    adj = adjacency_sets(list(graph.edges()), n)
+    need = statistical_thresholds()["cascade_fraction"] * n
+    k = next(k for k in range(1, n + 1) if len(naive_percolate(adj, order[:k], r)[0]) >= need)
+    assert record.seed_size == k and record.value == float(k)
+    assert 1 < k < n * 0.9  # the crossing is not forced by the seeds alone
 
 
 def test_threshold_flags_unclosed_lower_bracket(monkeypatch):
@@ -394,9 +423,10 @@ PINNED_OUTPUT = {
         "db60ba9ed06ee9e7d782fcf70a29685b",
     ),
     "compare": (
+        # critical_size is the first crossing along one random order (no bisection)
         dict(mode="compare", n_list=(3000,), d_list=(10.0, 20.0), trials=2),
-        "6a5caa53ca04a0b72310fc37144dd894",
-        "1fa495f7d93d5521a019d5682ce8336b",
+        "3cd00d5951b407dbc8a06757c86e7b73",
+        "fcd62ab0639168a35aa6cee802a02161",
     ),
     "generations": (
         dict(mode="generations", n_list=(2000,), trials=3),

@@ -291,6 +291,45 @@ class TestComponents:
             assert is_connected(g)
         assert sizes == [k]
 
+    @pytest.mark.parametrize("rule", WAVE_RULES)
+    @pytest.mark.parametrize("kind", ["singletons", "mixed", "empty", "whole", "all_ids"])
+    def test_restrictions_match_oracle_with_no_bfs_per_singleton(self, monkeypatch, rule, kind):
+        rng = np.random.default_rng(11)
+        n = 300
+        edges = random_graph_edges(n, 0.01, rng)
+        g = Graph.from_edges(n, edges)
+        adj = adjacency_sets(edges, n)
+        independent: list[int] = []
+        for v in rng.permutation(n).tolist():
+            if not adj[v] & set(independent):
+                independent.append(v)
+        restrict = {
+            "singletons": independent,
+            "mixed": rng.integers(0, n, size=200).astype(np.int32),  # repeats included
+            "empty": [],
+            "whole": None,
+            "all_ids": np.arange(n, dtype=np.uint64),
+        }[kind]
+        reaches = []
+        real = graph_module._reach
+
+        def spy(graph, start, label, left):
+            reaches.append(start)
+            return real(graph, start, label, left)
+
+        monkeypatch.setattr(graph_module, "_reach", spy)
+        with wave_rule(rule):
+            got = connected_components(g, restrict)
+        expect = naive_components(adj, None if restrict is None else [int(v) for v in restrict])
+        assert got == expect
+        assert all(type(v) is int for comp in got for v in comp)
+        # one BFS per component of two or more members, none for a singleton
+        assert len(reaches) == sum(len(c) > 1 for c in expect)
+        if kind == "singletons":
+            assert len(expect) == len(independent) > 50 and not reaches
+        if kind == "mixed":
+            assert 0 < len(reaches) < len(expect)
+
     def test_python_int_contents(self, k4_iso):
         comps = connected_components(k4_iso)
         assert all(type(v) is int for comp in comps for v in comp)

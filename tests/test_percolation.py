@@ -410,6 +410,17 @@ def assert_hits_exact(state):
             assert held == sum(gen[u] != NEVER for u in row), v
 
 
+def active_set(state):
+    """``result().active``; ``active_mask`` agrees with it on the list path and raises elsewhere."""
+    active = state.result().active
+    if state._small:
+        assert state.active_mask == sum(1 << v for v in active)
+    else:
+        with pytest.raises(RuntimeError, match="list path only"):
+            state.active_mask
+    return active
+
+
 def resumed_oracle(adj, batches, r):
     """The rescan oracle run batch by batch, numbering rounds on across batches."""
     gen, rounds = {}, 0
@@ -438,7 +449,7 @@ class TestPercolator:
         assert res.active == frozenset(gen_oracle)
         assert state.active_count == len(gen_oracle)
         assert state.contagious == (len(gen_oracle) == g.vertex_count)
-        assert state.active_mask == sum(1 << v for v in gen_oracle)
+        assert active_set(state) == frozenset(gen_oracle)
         assert all(state.is_active(v) == (v in gen_oracle) for v in range(g.vertex_count))
         assert_hits_exact(state)
         # Rounds numbered on across batches still obey the activation rule.
@@ -470,11 +481,11 @@ class TestPercolator:
         with engine_path(path):
             parent = on_path(path, g, r).add_seeds(first)
             before = snapshot(parent.result())
-            mask = parent.active_mask
+            active = active_set(parent)
             child = parent.copy().add_seeds(extra)
             assert snapshot(parent.result()) == before
-            assert parent.active_mask == mask
-            assert child.active_mask & mask == mask  # the child's closure extends its parent's
+            assert active_set(parent) == active
+            assert active_set(child) >= active  # the child's closure extends its parent's
             # The parent resumes from its own state, not the child's.
             for batch in rest:
                 parent.add_seeds(batch)
@@ -601,3 +612,58 @@ class TestPercolator:
         state.add_seeds([2])
         assert first.generation.tolist() == [0, NEVER, NEVER, NEVER]
         assert state.result().generation.tolist() == [0, 1, 0, 1]
+
+
+class TestBigSeedArrays:
+    """An integer array of more than ``_SPARSE_ENTRIES`` ids is checked and seeded in numpy."""
+
+    N = 5000
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return sample_gnp(GnpParams(self.N, 3.0 / self.N, 7))
+
+    @staticmethod
+    def batches(start):
+        # The first batch is a list; its seed wave spans more than
+        # _SPARSE_ENTRIES entries, so the state is on the array path after it.
+        first = list(range(0, TestBigSeedArrays.N, 5)) if start == "arrays" else []
+        # repeats, and on the array path ids the first batch made active
+        big = np.random.default_rng(3).integers(0, 2500, size=percolation_module._SPARSE_ENTRIES + 500)
+        return first, big
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+    @pytest.mark.parametrize("start", ["fresh", "arrays"])
+    def test_matches_oracle_by_generation(self, graph, start, dtype):
+        first, big = self.batches(start)
+        state = Percolator(graph, 2).add_seeds(first)
+        assert type(state._generation) is (np.ndarray if first else dict)
+        assert len(set(big.tolist())) < big.size and (not first or not set(first).isdisjoint(big.tolist()))
+        with mock.patch.object(percolation_module, "vertex_ids", side_effect=AssertionError("per-seed path")):
+            assert state.add_seeds(big.astype(dtype)) is state
+        assert type(state._generation) is np.ndarray
+        gen_oracle = resumed_oracle(graph_adjacency(graph), [first, big.tolist()], 2)
+        res = state.result()
+        assert res.generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(self.N)]
+        assert 0 < len(gen_oracle) < self.N and res.seeds == {v for v, g in gen_oracle.items() if g == 0}
+        assert snapshot(res) == snapshot(Percolator(graph, 2).add_seeds(first).add_seeds(big.tolist()).result())
+        assert_hits_exact(state)
+        validate_result(graph, res)
+
+    @pytest.mark.parametrize("bad, dtype", [
+        (-1, np.int32), (-1, np.int64), (N, np.int32), (N, np.int64), (N, np.uint64), (1.5, np.float64)])
+    @pytest.mark.parametrize("start", ["fresh", "arrays"])
+    def test_rejects_like_the_per_seed_path(self, graph, start, bad, dtype):
+        first, big = self.batches(start)
+        ids = np.concatenate([[bad], big]).astype(dtype)
+        expect = {-1: "seed id -1 out of range", self.N: f"seed id {self.N} out of range",
+                  1.5: "seed id 1.5 is not an integer"}[bad]
+        state = Percolator(graph, 2).add_seeds(first)
+        before = snapshot(state.result())
+        with pytest.raises(ValueError, match=expect) as got:
+            state.add_seeds(ids)
+        with pytest.raises(ValueError) as per_seed:
+            Percolator(graph, 2).add_seeds(first).add_seeds(ids.tolist())
+        assert str(got.value) == str(per_seed.value)
+        assert snapshot(state.result()) == before
+        assert type(state._generation) is (np.ndarray if first else dict)
