@@ -90,11 +90,7 @@ def _cmd_percolate(args) -> int:
 
 def _cmd_construct(args) -> int:
     graph = _load_or_sample_graph(args)
-    params = StageParams(
-        r=args.r,
-        d0_min=args.d0_min if args.d0_min is not None else StageParams.d0_min,
-        c_seed=args.c_seed,
-    )
+    params = StageParams(r=args.r, c_seed=args.c_seed)
     seeds, trace = construct_contagious(graph, params)
     validate_result(graph, trace.result)
     payload = {
@@ -191,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     one_graph.add_argument("--r", type=int, default=2)
 
     cons = sub.add_parser("construct", parents=[one_graph], help="build a verified contagious set")
-    cons.add_argument("--d0-min", dest="d0_min", type=float)
     cons.add_argument("--c-seed", dest="c_seed", type=float)
     cons.add_argument("--trace", action="store_true", help="include the full trace")
     cons.add_argument("--out")

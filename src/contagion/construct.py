@@ -36,6 +36,9 @@ __all__ = [
     "search_minimal_tuple",
 ]
 
+# Mean degree below which the staged schedule refuses and the greedy fallback runs.
+_D0_MIN = 4.0
+
 
 class ConstructionError(RuntimeError):
     """A constructed certificate failed engine re-verification (internal bug)."""
@@ -45,20 +48,15 @@ class ConstructionError(RuntimeError):
 class StageParams:
     """Knobs of the staged constructor.
 
-    ``d0_min`` is the mean degree below which the staged schedule refuses
-    and the greedy fallback runs instead.  ``c_seed`` scales the initial
-    block size; None picks 1 for r = 2 and min(ceil(102 * (r-1)^(r-1)), 100)
-    for r >= 3.
+    ``c_seed`` scales the initial block size; None picks 1 for r = 2 and
+    min(ceil(102 * (r-1)^(r-1)), 100) for r >= 3.
     """
 
     r: int = 2
-    d0_min: float = 4.0
     c_seed: float | None = None
 
     def __post_init__(self) -> None:
         checked_threshold(self.r)
-        if self.d0_min < 0:
-            raise ValueError("d0_min must be nonnegative")
         if self.c_seed is not None and self.c_seed <= 0:
             raise ValueError("c_seed must be positive")
 
@@ -134,7 +132,7 @@ def construct_contagious(
         initial_target = int(c_seed * n / (d**exponent * math.log2(d)))
 
     # An initial block of n or more vertices leaves the schedule nothing to grow.
-    if d < params.d0_min or not 1 <= initial_target < n or not is_connected(graph):
+    if d < _D0_MIN or not 1 <= initial_target < n or not is_connected(graph):
         seeds, trace = _fallback_construct(graph, r, d)
     else:
         seeds, trace = _staged_construct(graph, r, d, c_seed, initial_target)

@@ -3,16 +3,16 @@
 Meant for small instances (tens of vertices).  Degree-deficient vertices
 can never be activated, so every candidate set contains them; enumeration
 deepens over how many free vertices are added, in id order, so the first
-set found is the lexicographically first minimum.  A child node is a copy
-of its parent's ``Percolator`` state (on the list path at every n, so each
-closure is an int bitmask) with one more seed, so it pays only for what
-that seed activates.  Each prune skips only sets that cannot be contagious:
-a candidate already active (a smaller depth failed), one inside the closure
-of an earlier sibling whose subtree failed (every set under it closes
-inside one under that sibling), a last seed that starts no wave unless it
-is the one inactive vertex (it activates itself alone), and a subtree whose
-(depth, closure) signature was explored from a candidate pool at least as
-large.
+set found is the lexicographically first minimum.  A node's closure is a
+pair: the active-neighbour counts ``hits`` (a list) and the active set as an
+int bitmask.  A child copies its parent's ``hits`` and grows the pair by one
+more seed, so it pays only for what that seed activates.  Each prune skips
+only sets that cannot be contagious: a candidate already active (a smaller
+depth failed), one inside the closure of an earlier sibling whose subtree
+failed (every set under it closes inside one under that sibling), a last
+seed that starts no wave unless it is the one inactive vertex (it activates
+itself alone), and a subtree whose (depth, closure) signature was explored
+from a candidate pool at least as large.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .graph import Graph
-from .percolation import Percolator, _list_state, checked_threshold, mandatory_seeds, percolate
+from .percolation import checked_threshold, mandatory_seeds, percolate
 
 __all__ = ["ExactResult", "min_contagious_exact", "DEFAULT_NODE_BUDGET"]
 
@@ -63,19 +63,21 @@ def min_contagious_exact(
     checked_threshold(r)
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
-    n = graph.vertex_count
+    n, adjacency = graph.vertex_count, graph.adjacency
+    full = (1 << n) - 1
     mandatory = sorted(mandatory_seeds(graph, r))
     tests = 0
 
-    def extend(closure: Percolator, seeds: list[int]) -> Percolator:
+    def extend(hits: list[int], mask: int, seeds: list[int]) -> tuple[list[int], int]:
         nonlocal tests
         if tests >= node_budget:
             raise _BudgetExceeded
         tests += 1
-        return closure.copy()._seed(seeds)
+        hits = hits.copy()
+        return hits, _grow(adjacency, r, hits, mask, seeds)
 
-    base = extend(_list_state(graph, r), mandatory)
-    if base.contagious:
+    base_hits, base = extend([0] * n, 0, mandatory)
+    if base == full:
         return ExactResult(len(mandatory), frozenset(mandatory), tests, "exact")
 
     mand_set = set(mandatory)
@@ -85,34 +87,34 @@ def min_contagious_exact(
         size = len(mandatory) + extra
         memo: dict[tuple[int, int], int] = {}
 
-        def dfs(start: int, closure: Percolator, slots: int, chosen: list[int]):
+        def dfs(start: int, hits: list[int], mask: int, slots: int, chosen: list[int]):
             # bits of the candidates to skip; failed siblings add their closures
-            skip = closure.active_mask if slots > 1 else _dead_last_seeds(closure)
+            skip = mask if slots > 1 else _dead_last_seeds(adjacency, r, hits, mask)
             for idx in range(start, len(free) - slots + 1):
                 v = free[idx]
                 if skip >> v & 1:
                     continue
-                child = extend(closure, [v])
-                if child.contagious:
+                child_hits, child = extend(hits, mask, [v])
+                if child == full:
                     if slots != 1:
                         raise SolverInternalError(
                             "full closure reached above the current depth"
                         )
                     return chosen + [v]
                 if slots > 1:
-                    key = (slots - 1, child.active_mask)
+                    key = (slots - 1, child)
                     prev = memo.get(key)
                     if prev is None or prev > idx:
                         memo[key] = idx
-                        found = dfs(idx + 1, child, slots - 1, chosen + [v])
+                        found = dfs(idx + 1, child_hits, child, slots - 1, chosen + [v])
                         if found is not None:
                             return found
                 # v's subtree failed, and so would any later candidate's inside it
-                skip |= child.active_mask
+                skip |= child
             return None
 
         try:
-            picked = dfs(0, base, extra, [])
+            picked = dfs(0, base_hits, base, extra, [])
         except _BudgetExceeded:
             return ExactResult(size, None, tests, "budget_exceeded")
         if picked is not None:
@@ -126,10 +128,39 @@ def min_contagious_exact(
     raise SolverInternalError("enumeration exhausted without a witness")
 
 
-def _dead_last_seeds(closure: Percolator) -> int:
-    """Bits of the vertices that cannot be the seed that makes ``closure``
-    contagious: the active ones, and those that start no wave unless only
-    one vertex is inactive."""
-    if closure.graph.vertex_count - closure.active_count < 2:
-        return closure.active_mask
-    return ~closure._wave_starters()
+def _grow(adjacency: list[list[int]], r: int, hits: list[int], mask: int, seeds: list[int]) -> int:
+    """Seed ``seeds``, inactive vertices of the closure (``hits``, ``mask``), and
+    grow it to fixation in place; returns the new active-set bitmask.
+
+    A seed gets ``hits = r`` and every activation adds one to each neighbour's
+    count, so active vertices hold at least r, and a vertex activates at the
+    one time its count reaches r: no inactive check is needed.
+    """
+    for v in seeds:
+        hits[v] = r
+        mask |= 1 << v
+    stack = list(seeds)
+    while stack:
+        for w in adjacency[stack.pop()]:
+            h = hits[w] + 1
+            hits[w] = h
+            if h == r:
+                stack.append(w)
+                mask |= 1 << w
+    return mask
+
+
+def _dead_last_seeds(adjacency: list[list[int]], r: int, hits: list[int], mask: int) -> int:
+    """Bits of the vertices that cannot be the seed that makes the closure
+    (``hits``, ``mask``) contagious: the active ones, and those that start no
+    wave unless only one vertex is inactive.  Seeding u starts a wave exactly
+    when an inactive neighbour of u has r - 1 active ones, and only inactive
+    vertices hold a count below r."""
+    if len(hits) - mask.bit_count() < 2:
+        return mask
+    starters, w = 0, -1
+    for _ in range(hits.count(r - 1)):
+        w = hits.index(r - 1, w + 1)  # list scans run at C speed
+        for u in adjacency[w]:
+            starters |= 1 << u
+    return mask | ~starters

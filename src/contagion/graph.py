@@ -119,7 +119,7 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
-        """Adjacency as plain Python lists; built lazily, meant for small graphs."""
+        """Adjacency as plain Python lists, built lazily: the exact solver's closures step on it."""
         indptr, indices = self.indptr, self.indices
         flat = indices.tolist()
         return [flat[indptr[v] : indptr[v + 1]] for v in range(self.vertex_count)]

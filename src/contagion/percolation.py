@@ -3,10 +3,10 @@
 A vertex activates in round g when at least r of its neighbors were active
 after round g - 1; seeds are active in round 0 and nothing ever deactivates.
 The one engine, ``Percolator``, keeps a per-vertex count of active neighbors
-and steps each round as one wave (on its array path a wave of ``graph.spread``,
-which pushes or pulls and stops once every vertex is active), so a full run
-costs O(n + m), and a run that stalls after a few activations costs about what
-it touched.  It can resume: seeds added to a state at fixation spread from
+and steps each round as one wave (row by row while waves are small, then a
+wave of ``graph.spread``, which pushes or pulls and stops once every vertex
+is active), so a full run costs O(n + m), and a run that stalls after a few
+activations costs about what it touched.  It can resume: seeds added to a state at fixation spread from
 there, so a caller that grows a seed set one vertex at a time pays for the
 new activations only.  ``percolate`` runs a fresh state once.
 """
@@ -25,10 +25,6 @@ __all__ = ["NEVER", "PercolationResult", "Percolator", "percolate", "mandatory_s
 
 # Generation value for vertices the process never reaches; JSON uses null.
 NEVER = UNREACHED
-
-# Up to this many vertices the plain-Python path beats numpy call overhead,
-# which matters for the exact solver's thousands of closure computations.
-_SMALL_N = 512
 
 # A sparse state moves to numpy arrays at its first wave over more adjacency
 # entries than this: on one wave from a fresh state, row-by-row steps cost as
@@ -92,42 +88,26 @@ class Percolator:
     child state.  Rounds are numbered on across batches, so the active set is
     the closure of all seeds so far and ``result()`` passes
     ``validate_result``, but a fresh ``percolate`` of the union numbers the
-    generations differently.  Up to ``_SMALL_N`` vertices the generation map
-    and the active-neighbour counts ``hits`` are lists, with an int bitmask of
-    the active set beside them (the exact solver's states keep this list path
-    at every n).  Above it a fresh state holds them as dicts keyed by vertex
-    and steps each wave one adjacency row at a time, so a run that stalls
-    early costs what it touched, not O(n); the first time a wave
-    (the seed batch counts as one) spans more than ``_SPARSE_ENTRIES``
-    entries, the state moves to numpy arrays and the push/pull waves of
-    ``graph.spread``, where ``hits`` is exact for inactive vertices only.
+    generations differently.  A fresh state holds the generation map and the
+    active-neighbour counts ``hits`` as dicts keyed by vertex and steps each
+    wave one adjacency row at a time, so a run that stalls early costs what it
+    touched, not O(n); the first time a wave (the seed batch counts as one)
+    spans more than ``_SPARSE_ENTRIES`` entries, the state moves to numpy
+    arrays and the push/pull waves of ``graph.spread``.  On either layout
+    ``hits`` is exact for inactive vertices only.
     """
 
-    __slots__ = ("graph", "r", "active_count", "_small", "_generation", "_hits", "_seeds",
-                 "_per_round", "_mask")
+    __slots__ = ("graph", "r", "active_count", "_generation", "_hits", "_seeds", "_per_round")
 
     def __init__(self, graph: Graph, r: int):
-        n = graph.vertex_count
         self.graph, self.r, self.active_count = graph, checked_threshold(r), 0
-        self._small = n <= _SMALL_N
-        if self._small:
-            self._generation, self._hits = [NEVER] * n, [0] * n
-        else:
-            self._generation, self._hits = {}, {}
+        self._generation, self._hits = {}, {}
         self._seeds: list[int] = []
         self._per_round: list[int] = []
-        self._mask = 0
 
     @property
     def contagious(self) -> bool:
         return self.active_count == self.graph.vertex_count
-
-    @property
-    def active_mask(self) -> int:
-        """The active set as an int with bit v set for each active v; list path only."""
-        if not self._small:
-            raise RuntimeError("active_mask is kept on the list path only")
-        return self._mask
 
     def is_active(self, v: int) -> bool:
         if type(self._generation) is dict:
@@ -137,17 +117,17 @@ class Percolator:
     def copy(self) -> "Percolator":
         child = object.__new__(Percolator)
         child.graph, child.r, child.active_count = self.graph, self.r, self.active_count
-        child._small, child._mask = self._small, self._mask
         child._generation, child._hits = self._generation.copy(), self._hits.copy()
         child._seeds, child._per_round = self._seeds.copy(), self._per_round.copy()
         return child
 
     def add_seeds(self, vs: Iterable[int]) -> "Percolator":
         """Seed the inactive ids among ``vs`` and run to fixation; returns self.
-        Off the list path an array of over ``_SPARSE_ENTRIES`` ids is seeded in numpy."""
-        if isinstance(vs, np.ndarray) and vs.size > _SPARSE_ENTRIES and not self._small:
-            ids = as_vertex_array(vs, self.graph.vertex_count, what="seed")
-            if type(self._generation) is dict:
+        An array of over ``_SPARSE_ENTRIES`` ids is seeded in numpy."""
+        n, generation = self.graph.vertex_count, self._generation
+        if isinstance(vs, np.ndarray) and vs.size > _SPARSE_ENTRIES:
+            ids = as_vertex_array(vs, n, what="seed")
+            if type(generation) is dict:
                 self._to_arrays()
             fresh = ids[self._generation[ids] == NEVER]
             self._generation[fresh] = 0
@@ -155,23 +135,16 @@ class Percolator:
             self.active_count += fresh.size
             self._spread_numpy(fresh)
             return self
-        ids, generation = vertex_ids(vs, self.graph.vertex_count, what="seed"), self._generation
+        ids = vertex_ids(vs, n, what="seed")
         if type(generation) is dict:
-            return self._seed([v for v in ids if v not in generation])
-        return self._seed([v for v in ids if generation[v] == NEVER])
-
-    def _seed(self, fresh: list[int]) -> "Percolator":
-        """Seed ``fresh``, distinct inactive valid ids, and run to fixation; returns self."""
-        generation = self._generation
+            fresh = [v for v in ids if v not in generation]
+        else:
+            fresh = [v for v in ids if generation[v] == NEVER]
         for v in fresh:
             generation[v] = 0
         self._seeds.extend(fresh)
         self.active_count += len(fresh)
-        if self._small:
-            for v in fresh:
-                self._mask |= 1 << v
-            self._spread_python(fresh)
-        elif type(generation) is dict:
+        if type(generation) is dict:
             self._spread_sparse(fresh)
         else:
             self._spread_numpy(np.array(fresh, dtype=np.int64))
@@ -188,21 +161,6 @@ class Percolator:
             active_count=self.active_count,
             per_round_counts=tuple(self._per_round),
         )
-
-    def _wave_starters(self) -> int:
-        """Bits of the inactive vertices whose seeding activates another vertex.
-
-        List path only, where ``hits`` is exact for inactive vertices: seeding
-        u does so exactly when an inactive neighbour of u has r - 1 active ones.
-        """
-        r1, generation, hits, adjacency = self.r - 1, self._generation, self._hits, self.graph.adjacency
-        starters, w = 0, -1
-        for _ in range(hits.count(r1)):
-            w = hits.index(r1, w + 1)  # list scans run at C speed
-            if generation[w] == NEVER:
-                for u in adjacency[w]:
-                    starters |= 1 << u
-        return starters & ~self._mask
 
     def _generation_array(self) -> np.ndarray:
         if type(self._generation) is dict:
@@ -246,38 +204,6 @@ class Percolator:
                        len(self._per_round))
         self._per_round.extend(wave.size for wave in waves)
         self.active_count += sum(wave.size for wave in waves)
-
-    def _spread_python(self, frontier: list[int]) -> None:
-        adjacency, r, g, mask = self.graph.adjacency, self.r, len(self._per_round), self._mask
-        generation, hits = self._generation, self._hits
-        while frontier:
-            newly: list[int] = []
-            for u in frontier:
-                for w in adjacency[u]:
-                    if generation[w] == NEVER:
-                        h = hits[w] + 1
-                        hits[w] = h
-                        if h == r:  # crossing happens exactly once per vertex
-                            newly.append(w)
-            if not newly:
-                break
-            g += 1
-            for w in newly:
-                generation[w] = g
-                mask |= 1 << w
-            self._per_round.append(len(newly))
-            self.active_count += len(newly)
-            frontier = newly
-        self._mask = mask
-
-
-def _list_state(graph: Graph, r: int) -> Percolator:
-    """A fresh state on the list path at any n: the exact solver's root."""
-    state = Percolator(graph, r)
-    if not state._small:
-        n = graph.vertex_count
-        state._small, state._generation, state._hits = True, [NEVER] * n, [0] * n
-    return state
 
 
 def _filled(n: int, fill: int, values: dict[int, int]) -> np.ndarray:

@@ -25,7 +25,6 @@ from contagion import (
 )
 
 from contagion import construct as construct_module
-from contagion import percolation as percolation_module
 from conftest import complete_graph, naive_tuple_search
 
 PROPERTY_SETTINGS = settings(
@@ -45,7 +44,7 @@ class TestStageParams:
     def test_defaults(self):
         params = StageParams()
         assert params.r == 2
-        assert params.d0_min == 4.0
+        assert construct_module._D0_MIN == 4.0
         assert params.resolved_c_seed() == 1.0
 
     def test_general_r_seed_constant(self):
@@ -329,8 +328,7 @@ class TestTupleSearch:
     # search seed), the fewest iterations that find a tuple, and (sorted tuple,
     # tau, per_round_counts, active_count) of the find, as computed by the
     # search that kept numpy counts and percolated each completed chain with
-    # ``percolate``.  Graphs of 400 vertices are below _SMALL_N, those of 3000
-    # above it.
+    # ``percolate``.
     @pytest.mark.parametrize(
         "case, iterations, expected",
         [
@@ -415,9 +413,9 @@ class TestBatchedTupleSearch:
     def test_matches_one_iteration_oracle(
         self, r, small, size, mult, graph_seed, search_seed, budget, batch
     ):
-        # Graphs on both sides of _SMALL_N; batches of 1 and 3 end most budgets
-        # mid-batch, and budgets past n / (r + 1) empty the pool.
-        n = r + 1 + size if small else percolation_module._SMALL_N + 1 + size
+        # Graphs of a few vertices and of over 512; batches of 1 and 3 end most
+        # budgets mid-batch, and budgets past n / (r + 1) empty the pool.
+        n = r + 1 + size if small else 513 + size
         g = near_threshold_graph(n, r, mult, graph_seed)
         got, want = [], []
         with mock.patch.object(construct_module, "_BATCH", batch):

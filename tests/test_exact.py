@@ -6,24 +6,26 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from contagion import (
     GnpParams,
     Graph,
-    Percolator,
     construct_contagious,
     mandatory_seeds,
     min_contagious_exact,
     percolate,
     sample_gnp,
 )
-from contagion.exact import _dead_last_seeds
-from contagion.percolation import _list_state
+from contagion import exact as exact_module
+from contagion.exact import _dead_last_seeds, _grow
 
 from conftest import (
     adjacency_sets,
     complete_graph,
     naive_min_contagious,
+    naive_percolate,
     random_graph_edges,
 )
 
@@ -131,7 +133,7 @@ class TestPinnedOutcomes:
             ((30, 0.12, 1), 2, 2000, (12, [0, 1, 2, 5, 7, 10, 16, 17, 22, 24, 25, 27], 1637, "exact")),
             ((30, 0.15, 2), 3, 5000, (5, None, 5000, "budget_exceeded")),
             ((36, 0.14, 4), 3, None, (10, [0, 1, 7, 9, 21, 23, 28, 30, 32, 34], 269, "exact")),
-            # more than _SMALL_N vertices: the solver's states stay on the list path
+            # more than 512 vertices: the closure's bitmask spans many machine words
             ((600, 0.001, 2), 2, 3000, (534, None, 3000, "budget_exceeded")),
             # the 2000 budget above now suffices; 1000 still stops a level short
             ((30, 0.12, 1), 2, 1000, (11, None, 1000, "budget_exceeded")),
@@ -170,17 +172,60 @@ class TestAgainstEnumeration:
 def solve_and_list_tests(graph, r):
     """Solve, and list the seed sets whose closures were computed, in order;
     the last is the re-verification of the witness."""
-    sets = []
-    seed = Percolator._seed
+    sets, seeds_of = [], {}
 
-    def spy(state, fresh):
-        seed(state, fresh)
-        sets.append(tuple(sorted(state._seeds)))
-        return state
+    def grow(adjacency, r, hits, mask, fresh):
+        grown = _grow(adjacency, r, hits, mask, fresh)
+        # a child's closure strictly contains its parent's, so the parent is
+        # the last closure computed with the mask it grows from
+        seeds_of[grown] = seeds_of.get(mask, ()) + tuple(fresh)
+        sets.append(tuple(sorted(seeds_of[grown])))
+        return grown
 
-    with mock.patch.object(Percolator, "_seed", spy):
+    def verify(g, seeds, r):
+        sets.append(tuple(sorted(seeds)))
+        return percolate(g, seeds, r)
+
+    with mock.patch.object(exact_module, "_grow", grow), mock.patch.object(exact_module, "percolate", verify):
         res = min_contagious_exact(graph, r)
     return res, sets
+
+
+@st.composite
+def graph_and_batches(draw):
+    """A graph, of a few vertices or of over 512, and seed batches that may
+    repeat ids or name already active ones."""
+    n = draw(st.one_of(st.integers(1, 24), st.integers(513, 600)))
+    p = min(1.0, draw(st.sampled_from([2.0, 4.0, 8.0])) / n)
+    g = sample_gnp(GnpParams(n, p, draw(st.integers(0, 2**32 - 1))))
+    ids = st.integers(0, n - 1)
+    batches = draw(st.lists(st.lists(ids, max_size=max(6, n // 10)), max_size=4))
+    return g, batches, draw(st.sampled_from([2, 3]))
+
+
+class TestClosure:
+    """The solver's closure (``hits``, bitmask) against the rescan oracle."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=graph_and_batches())
+    @example(case=(sample_gnp(GnpParams(600, 4.0 / 600, 3)), [list(range(0, 280, 7)), list(range(280, 600, 7))], 2))
+    def test_matches_oracle(self, case):
+        g, batches, r = case
+        n, adj = g.vertex_count, adjacency_sets(list(g.edges()), g.vertex_count)
+        hits, mask, seeds, active = [0] * n, 0, set(), set()
+        for batch in batches:
+            mask = _grow(g.adjacency, r, hits, mask, sorted(set(batch) - active))
+            seeds |= set(batch)
+            active = set(naive_percolate(adj, seeds, r)[0])
+            assert mask == sum(1 << v for v in active)
+            assert all(hits[v] == len(adj[v] & active) for v in range(n) if v not in active)
+        dead = _dead_last_seeds(g.adjacency, r, hits, mask)
+        for v in range(n):
+            if v in active:
+                assert dead >> v & 1, v
+            else:
+                grown = len(naive_percolate(adj, active | {v}, r)[0]) - len(active)
+                assert (dead >> v & 1 == 0) == (grown > 1 or len(active) == n - 1), v
 
 
 class TestPrunes:
@@ -221,11 +266,13 @@ class TestPrunes:
         # solver never meets such a state (that vertex has fewer than r
         # neighbours, so it is seeded at the root); the rule is checked alone.
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        state = _list_state(g, 2).add_seeds([0, 1])
-        assert state.active_count == 2 and state._wave_starters() == 0
-        assert [_dead_last_seeds(state) >> v & 1 for v in range(3)] == [1, 1, 0]
-        state = _list_state(c4, 2).add_seeds([0])
-        assert [_dead_last_seeds(state) >> v & 1 for v in range(4)] == [1, 1, 0, 1]
+        hits = [0] * 3
+        mask = _grow(g.adjacency, 2, hits, 0, [0, 1])
+        assert mask == 0b011  # 2's one neighbour is active: seeding 2 starts no wave
+        assert [_dead_last_seeds(g.adjacency, 2, hits, mask) >> v & 1 for v in range(3)] == [1, 1, 0]
+        hits = [0] * 4
+        mask = _grow(c4.adjacency, 2, hits, 0, [0])
+        assert [_dead_last_seeds(c4.adjacency, 2, hits, mask) >> v & 1 for v in range(4)] == [1, 1, 0, 1]
 
 
 class TestSolverLaws:

@@ -185,10 +185,10 @@ class TestDeterminism:
         assert keys == sorted(keys)
 
 
-# Engine paths for the one-pass critical size, as (_SMALL_N, _SPARSE_ENTRIES):
-# the list path, sparse states that move to arrays at the package's own
-# switch, and states that move at their first wave.
-CRITICAL_PATHS = {"python": (10**9, 2048), "sparse": (-1, 2048), "dense": (-1, 0)}
+# Engine paths for the one-pass critical size, as _SPARSE_ENTRIES: sparse
+# states that move to arrays at the package's own switch, and states that
+# move at their first wave.
+CRITICAL_PATHS = {"sparse": 2048, "dense": 0}
 
 
 @pytest.mark.parametrize("path", CRITICAL_PATHS)
@@ -196,9 +196,7 @@ CRITICAL_PATHS = {"python": (10**9, 2048), "sparse": (-1, 2048), "dense": (-1, 0
 def test_critical_size_is_first_crossing_of_one_order(monkeypatch, path, n, d, r, trial):
     """critical_size is the smallest k whose first k vertices of the trial's order
     reach the cascade fraction, by the rescan oracle."""
-    small_n, entries = CRITICAL_PATHS[path]
-    monkeypatch.setattr(percolation_module, "_SMALL_N", small_n)
-    monkeypatch.setattr(percolation_module, "_SPARSE_ENTRIES", entries)
+    monkeypatch.setattr(percolation_module, "_SPARSE_ENTRIES", CRITICAL_PATHS[path])
     cfg = ExperimentConfig(mode="compare", n_list=(n,), d_list=(d,), r=r, trials=trial + 1, master_seed=5)
     (record,) = [rec for rec in _compare_trial(cfg, n, d, trial) if rec.variant == "critical_size"]
     seed, graph, _ = _trial_start(cfg, n, d, trial)

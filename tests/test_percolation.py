@@ -33,18 +33,17 @@ from conftest import (
     wave_rule,
 )
 
-# Engine paths, as (_SMALL_N, _SPARSE_ENTRIES, wave rule): the list path; the
-# numpy path at its own switch point; kept sparse; moved to arrays at its first
-# wave; moved mid-run, once a wave spans more than 4 adjacency entries; and
-# moved at once with every array wave a push, or every one a pull.
+# Engine paths, as (_SPARSE_ENTRIES, wave rule): the package's own switch
+# point; kept sparse; moved to arrays at its first wave; moved mid-run, once a
+# wave spans more than 4 adjacency entries; and moved at once with every array
+# wave a push, or every one a pull.
 PATH_LIMITS = {
-    "python": (10**9, 0, "auto"),
-    "numpy": (-1, percolation_module._SPARSE_ENTRIES, "auto"),
-    "sparse": (-1, 10**9, "auto"),
-    "dense": (-1, 0, "auto"),
-    "switch": (-1, 4, "auto"),
-    "push": (-1, 0, "push"),
-    "pull": (-1, 0, "pull"),
+    "numpy": (percolation_module._SPARSE_ENTRIES, "auto"),
+    "sparse": (10**9, "auto"),
+    "dense": (0, "auto"),
+    "switch": (4, "auto"),
+    "push": (0, "push"),
+    "pull": (0, "pull"),
 }
 PATHS = tuple(PATH_LIMITS)
 
@@ -52,16 +51,15 @@ PATHS = tuple(PATH_LIMITS)
 @contextmanager
 def engine_path(path):
     """Run the engine on the given path, whatever the graph's size."""
-    small_n, entries, rule = PATH_LIMITS[path]
-    with mock.patch.object(percolation_module, "_SMALL_N", small_n), \
-            mock.patch.object(percolation_module, "_SPARSE_ENTRIES", entries), wave_rule(rule):
+    entries, rule = PATH_LIMITS[path]
+    with mock.patch.object(percolation_module, "_SPARSE_ENTRIES", entries), wave_rule(rule):
         yield
 
 
 def on_path(path, graph, r):
-    """A fresh Percolator; call it inside ``engine_path(path)``."""
+    """A fresh Percolator, which starts sparse; call it inside ``engine_path(path)``."""
     state = Percolator(graph, r)
-    assert state._small == (path == "python")
+    assert type(state._generation) is dict
     return state
 
 
@@ -166,13 +164,13 @@ class TestAgainstOracle:
         validate_result(g, res)
 
     def test_paths_agree_on_large_graph(self):
-        # same graph through both implementations
+        # same graph through both state layouts
         g = sample_gnp(GnpParams(1000, 0.008, 77))
         seeds = np.arange(0, 1000, 37)
-        gen_py, rounds_py = run_path("python", g, seeds, 2)
-        gen_np, rounds_np = run_path("numpy", g, seeds, 2)
-        assert np.array_equal(gen_py, gen_np)
-        assert rounds_py == rounds_np
+        gen_sparse, rounds_sparse = run_path("sparse", g, seeds, 2)
+        gen_np, rounds_np = run_path("dense", g, seeds, 2)
+        assert np.array_equal(gen_sparse, gen_np)
+        assert rounds_sparse == rounds_np
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_paths_agree_small(self, r):
@@ -182,10 +180,10 @@ class TestAgainstOracle:
             edges = random_graph_edges(n, 0.3, rng)
             g = Graph.from_edges(n, edges)
             seeds = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-            gen_py, rounds_py = run_path("python", g, np.sort(seeds), r)
-            gen_np, rounds_np = run_path("numpy", g, np.sort(seeds), r)
-            assert np.array_equal(gen_py, gen_np)
-            assert rounds_py == rounds_np
+            gen_sparse, rounds_sparse = run_path("sparse", g, np.sort(seeds), r)
+            gen_np, rounds_np = run_path("dense", g, np.sort(seeds), r)
+            assert np.array_equal(gen_sparse, gen_np)
+            assert rounds_sparse == rounds_np
 
 
 class TestMandatorySeeds:
@@ -411,13 +409,9 @@ def assert_hits_exact(state):
 
 
 def active_set(state):
-    """``result().active``; ``active_mask`` agrees with it on the list path and raises elsewhere."""
+    """``result().active``; ``is_active`` agrees with it."""
     active = state.result().active
-    if state._small:
-        assert state.active_mask == sum(1 << v for v in active)
-    else:
-        with pytest.raises(RuntimeError, match="list path only"):
-            state.active_mask
+    assert all(state.is_active(v) == (v in active) for v in range(state.graph.vertex_count))
     return active
 
 
@@ -536,32 +530,6 @@ class TestPercolator:
                 assert on_path(path, c4, 2).add_seeds(seeds).contagious
         with pytest.raises(ValueError, match="seed id 1.5 is not an integer"):
             percolate(c4, [1.5, 3.2], 2)
-
-    @PROPERTY_SETTINGS
-    @given(case=graph_and_batches())
-    def test_wave_starters_match_seeded_copies(self, case):
-        g, batches, r = case
-        state = percolation_module._list_state(g, r)
-        for batch in batches:
-            state.add_seeds(batch)
-        for v in range(g.vertex_count):
-            if not state.is_active(v):
-                grown = state.copy().add_seeds([v]).active_count - state.active_count
-                assert state._wave_starters() >> v & 1 == (grown > 1), v
-
-    def test_list_state_at_any_size(self):
-        # the exact solver's states keep plain lists and the int mask above _SMALL_N
-        g = sample_gnp(GnpParams(600, 4.0 / 600, 3))
-        seeds = list(range(0, 600, 7))
-        state = percolation_module._list_state(g, 2)
-        assert g.vertex_count > percolation_module._SMALL_N and state._small
-        child = state.copy().add_seeds(seeds[:40]).copy().add_seeds(seeds[40:])
-        ref = percolate(g, seeds, 2)
-        assert child.active_mask == sum(1 << v for v in ref.active)
-        assert child.result().active == ref.active
-        assert_hits_exact(child)
-        validate_result(g, child.result())
-        assert state.active_count == 0
 
     def test_switch_mid_run(self):
         # 0 and 1 feed 2 and 3 inside a K8 on 2..9: the seed wave spans 4
