@@ -22,6 +22,7 @@ from contagion import (
     sample_gnp,
     validate_result,
 )
+from contagion import exact as exact_module
 from contagion import percolation as percolation_module
 
 from conftest import (
@@ -530,6 +531,45 @@ class TestPercolator:
                 assert on_path(path, c4, 2).add_seeds(seeds).contagious
         with pytest.raises(ValueError, match="seed id 1.5 is not an integer"):
             percolate(c4, [1.5, 3.2], 2)
+
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_batches())
+    def test_wave_starters_match_seeded_copies(self, case):
+        # the exact solver's last-seed rule: an inactive vertex starts a wave
+        # exactly when seeding it in a copy activates more than itself
+        g, batches, r = case
+        n = g.vertex_count
+        state, hits, mask = Percolator(g, r), [0] * n, 0
+        for batch in batches:
+            mask = exact_module._grow(g.adjacency, r, hits, mask, sorted(set(batch) - state.result().active))
+            state.add_seeds(batch)
+        dead = exact_module._dead_last_seeds(g.adjacency, r, hits, mask)
+        for v in range(n):
+            if not state.is_active(v):
+                grown = state.copy().add_seeds([v]).active_count - state.active_count
+                assert (dead >> v & 1 == 0) == (grown > 1 or state.active_count == n - 1), v
+
+    def test_list_state_at_any_size(self):
+        # the exact solver's list-and-bitmask closure agrees with the engine
+        # on a graph of over 512 vertices, grown in two batches
+        g = sample_gnp(GnpParams(600, 4.0 / 600, 3))
+        seeds = list(range(0, 600, 7))
+        hits = [0] * 600
+        mask = exact_module._grow(g.adjacency, 2, hits, 0, seeds[:40])
+        state = Percolator(g, 2)
+        child = state.copy().add_seeds(seeds[:40]).copy()
+        mask = exact_module._grow(g.adjacency, 2, hits, mask, sorted(set(seeds[40:]) - child.result().active))
+        child.add_seeds(seeds[40:])
+        ref = percolate(g, seeds, 2)
+        assert mask == sum(1 << v for v in ref.active)
+        assert child.result().active == ref.active
+        gen = child.result().generation
+        for v, row in enumerate(g.adjacency):
+            if gen[v] == NEVER:
+                assert hits[v] == sum(gen[u] != NEVER for u in row), v
+        assert_hits_exact(child)
+        validate_result(g, child.result())
+        assert state.active_count == 0
 
     def test_switch_mid_run(self):
         # 0 and 1 feed 2 and 3 inside a K8 on 2..9: the seed wave spans 4
