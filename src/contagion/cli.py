@@ -212,13 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         batch.add_argument("--jobs", type=int)
         batch.add_argument("--config", help="JSON file with ExperimentConfig fields")
         batch.add_argument("--probe-trials", dest="probe_trials", type=int)
-        batch.add_argument("--rel-tol", dest="rel_tol", type=float)
-        batch.add_argument("--p-max-factor", dest="p_max_factor", type=float)
-        batch.add_argument("--threshold-mult", dest="threshold_mult", type=float)
-        batch.add_argument(
-            "--slack", dest="partial_slack", type=float, help="partial mode slack multiplier"
-        )
-        batch.add_argument("--partial-d0", dest="partial_d0", type=float)
         batch.set_defaults(func=_cmd_batch, mode=mode)
     return parser
 

@@ -57,8 +57,8 @@ class StageParams:
 
     def __post_init__(self) -> None:
         checked_threshold(self.r)
-        if self.c_seed is not None and self.c_seed <= 0:
-            raise ValueError("c_seed must be positive")
+        if self.c_seed is not None and not 0 < self.c_seed < math.inf:
+            raise ValueError(f"c_seed must be positive and finite, got {self.c_seed}")
 
     def resolved_c_seed(self) -> float:
         if self.c_seed is not None:
@@ -126,16 +126,14 @@ def construct_contagious(
     r = params.r
     d = 2.0 * graph.edge_count / n if n else 0.0
     c_seed = params.resolved_c_seed()
-    exponent = r / (r - 1)
-    initial_target = 0
-    if d > 1.0:
-        initial_target = int(c_seed * n / (d**exponent * math.log2(d)))
+    # The initial block's size; compared before int() so that an overflow to inf falls back.
+    target = c_seed * n / (d ** (r / (r - 1)) * math.log2(d)) if d > 1.0 else 0.0
 
     # An initial block of n or more vertices leaves the schedule nothing to grow.
-    if d < _D0_MIN or not 1 <= initial_target < n or not is_connected(graph):
+    if d < _D0_MIN or not 1 <= target < n or not is_connected(graph):
         seeds, trace = _fallback_construct(graph, r, d)
     else:
-        seeds, trace = _staged_construct(graph, r, d, c_seed, initial_target)
+        seeds, trace = _staged_construct(graph, r, d, c_seed, int(target))
     if trace.result is None:
         trace.result = percolate(graph, seeds, r)
     if not trace.result.contagious:

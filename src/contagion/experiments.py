@@ -58,6 +58,15 @@ __all__ = [
 
 MODES = ("sweep", "threshold", "compare", "generations", "partial")
 
+# ``threshold`` brackets p within this factor of ``predicted_threshold`` and
+# bisects until the bracket is narrower than _REL_TOL of its upper end.
+_P_MAX_FACTOR = 32.0
+_REL_TOL = 0.1
+# ``generations`` without a p_list samples at this multiple of the prediction.
+_THRESHOLD_MULT = 4.0
+# ``partial`` trials below this mean degree lie outside the model.
+_PARTIAL_D0 = 10.0
+
 
 @functools.cache
 def statistical_thresholds() -> dict:
@@ -184,11 +193,6 @@ class ExperimentConfig:
     fmt: str = "csv"
     jobs: int = 1
     probe_trials: int = 30
-    rel_tol: float = 0.1
-    p_max_factor: float = 32.0
-    threshold_mult: float = 4.0
-    partial_slack: float | None = None
-    partial_d0: float = 10.0
 
     def __post_init__(self) -> None:
         for f in fields(self):  # annotations are strings: int, float, str or tuple[...], maybe "| None"
@@ -215,14 +219,6 @@ class ExperimentConfig:
             raise ValueError("format must be csv or json")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        if not (0 < self.rel_tol < 1):
-            raise ValueError("rel_tol must lie in (0, 1)")
-        if self.p_max_factor < 1:
-            raise ValueError("p_max_factor must be at least 1")
-        if self.threshold_mult <= 0:
-            raise ValueError("threshold_mult must be positive")
-        if self.partial_slack is not None and self.partial_slack < 0:
-            raise ValueError("partial_slack must be nonnegative")
 
     def serializable(self) -> dict:
         return {k: v for k, v in asdict(self).items() if k not in ("out", "jobs")}
@@ -401,15 +397,12 @@ def _partial_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
     half = math.ceil(n / 2)
     result = percolate(graph, rng.choice(n, size=half, replace=False), config.r)
     inactive = n - result.active_count
-    slack = config.partial_slack
-    if slack is None:
-        slack = statistical_thresholds()["partial_slack"]
-    bound = slack * max(1.0, n / d**3) if d > 0 else None
+    bound = statistical_thresholds()["partial_slack"] * max(1.0, n / d**3) if d > 0 else None
     return [
         ExperimentRecord(
             **common,
             **_run_fields(result),
-            variant="partial_out_of_model" if d < config.partial_d0 else "partial",
+            variant="partial_out_of_model" if d < _PARTIAL_D0 else "partial",
             success=(inactive <= bound) if bound is not None else None,
             value=float(inactive),
             value2=bound,
@@ -505,7 +498,7 @@ def _grid_points(config: ExperimentConfig, axis: str) -> list[tuple[int, float]]
     return [
         (n, float(p))
         for n in config.n_list
-        for p in config.p_list or [config.threshold_mult * predicted_threshold(n, config.r)]
+        for p in config.p_list or [_THRESHOLD_MULT * predicted_threshold(n, config.r)]
     ]
 
 
@@ -566,8 +559,8 @@ def run_threshold(config: ExperimentConfig) -> ExperimentOutcome:
             return rate_cache[p]
 
         p_pred = predicted_threshold(n, config.r)
-        cap = min(0.5, p_pred * config.p_max_factor)
-        floor = p_pred / config.p_max_factor
+        cap = min(0.5, p_pred * _P_MAX_FACTOR)
+        floor = p_pred / _P_MAX_FACTOR
         hi = p_pred
         no_crossing = False
         while rate(hi) < 0.5:
@@ -583,7 +576,7 @@ def run_threshold(config: ExperimentConfig) -> ExperimentOutcome:
         if no_crossing:
             flagged = True
         else:
-            while hi - lo > config.rel_tol * hi:
+            while hi - lo > _REL_TOL * hi:
                 mid = (lo + hi) / 2.0
                 if rate(mid) >= 0.5:
                     hi = mid

@@ -35,6 +35,10 @@ class GraphFormatError(ValueError):
     """Malformed edge-list input; the message names the offending line."""
 
 
+# Most vertices a graph may have: neighbour ids are int32 in ``Graph.indices``.
+_MAX_N = 2**31
+
+
 def vertex_ids(vertices: Iterable[int], n: int, *, what: str = "vertex") -> set[int]:
     """The distinct ids in ``vertices`` as Python ints.
 
@@ -89,8 +93,8 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from (u, v) pairs in either orientation; self-loops,
         out-of-range ids and duplicates raise GraphFormatError naming the first."""
-        if n < 0:
-            raise GraphFormatError("vertex count must be nonnegative")
+        if not 0 <= n <= _MAX_N:
+            raise GraphFormatError(f"vertex count {n} outside [0, {_MAX_N}]")
         try:
             pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
         except OverflowError:
@@ -109,9 +113,6 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor row of ``v`` (a read-only view, do not mutate)."""
@@ -313,21 +314,17 @@ def spread(graph: Graph, label: np.ndarray, frontier: np.ndarray, left: int,
 
 @dataclass(frozen=True)
 class GnpParams:
-    """Parameters of one G(n, p) draw.  ``d`` exposes the mean degree n*p."""
+    """Parameters of one G(n, p) draw."""
 
     n: int
     p: float
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        if not 0 <= self.n <= _MAX_N:
+            raise ValueError(f"n must lie in [0, {_MAX_N}]")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("p must lie in [0, 1]")
-
-    @property
-    def d(self) -> float:
-        return self.n * self.p
 
 
 def sample_gnp(params: GnpParams) -> Graph:
@@ -499,8 +496,8 @@ def load_edge_list(path) -> Graph:
 
     Ids are ASCII digits, fields are separated by spaces or tabs, lines end in
     LF or CRLF and blank lines are skipped.  Any other byte, a self-loop, a
-    repeat, an id out of range or a wrong count raises GraphFormatError naming
-    the earliest faulty line.
+    repeat, an id out of range, a wrong count or n above 2^31 raises
+    GraphFormatError naming the earliest faulty line.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -511,6 +508,8 @@ def load_edge_list(path) -> Graph:
     if not all(part.isdigit() for part in parts):  # ASCII digits only, as in the body
         raise GraphFormatError("line 1: expected two integers 'n m'")
     n, m = int(parts[0]), int(parts[1])
+    if n > _MAX_N:
+        raise GraphFormatError(f"line 1: vertex count {n} above {_MAX_N}")
 
     buf = np.frombuffer(body, dtype=np.uint8)
     is_nl = buf == ord("\n")

@@ -23,6 +23,7 @@ from contagion import (
     statistical_thresholds,
 )
 from contagion import cli
+from contagion import experiments as experiments_module
 from contagion import percolation as percolation_module
 from contagion.cli import main
 from contagion.experiments import ExperimentRecord, _compare_trial, _trial_start
@@ -221,7 +222,7 @@ def test_threshold_flags_unclosed_lower_bracket(monkeypatch):
     assert outcome.flagged
     assert entry["no_crossing"]
     assert entry["p_lo"] is None and entry["p50"] is None
-    assert min(entry["probes"]) >= predicted_threshold(300, 2) / cfg.p_max_factor
+    assert min(entry["probes"]) >= predicted_threshold(300, 2) / experiments_module._P_MAX_FACTOR
     assert all(rec.variant == "probe" for rec in outcome.records)
 
 
@@ -248,7 +249,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("trials", None), ("n_list", ("100",)), ("r", 2.5), ("jobs", True), ("rel_tol", "0.1")],
+        [("trials", None), ("n_list", ("100",)), ("r", 2.5), ("jobs", True), ("d_list", ("5",))],
     )
     def test_wrong_type_names_its_field(self, field, value):
         values = {"mode": "sweep", "n_list": (10,), "d_list": (5.0,), field: value}
@@ -345,7 +346,10 @@ class TestCli:
 
     def test_config_rejects_unknown_keys(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        for key in ("bogus", "c1", "k_target"):  # c1 and k_target were search knobs
+        # the others were settings: search knobs, then fixed factors of the batch modes
+        removed = ("c1", "k_target", "rel_tol", "p_max_factor", "threshold_mult",
+                   "partial_slack", "partial_d0")
+        for key in ("bogus", *removed):
             cfg.write_text(json.dumps({"n_list": [100], key: 1}))
             assert main(["sweep", "--config", str(cfg)]) == 1
             assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
@@ -366,13 +370,16 @@ class TestCli:
     @pytest.mark.parametrize(
         "mode,flag,value,field",
         [
-            ("threshold", "--p-max-factor", "0", "p_max_factor"),
-            ("threshold", "--p-max-factor", "0.5", "p_max_factor"),
-            ("generations", "--threshold-mult", "0", "threshold_mult"),
-            ("generations", "--threshold-mult", "-2", "threshold_mult"),
             # removed search knobs
+            ("threshold", "--p-max-factor", "0", "--p-max-factor"),
+            ("threshold", "--p-max-factor", "0.5", "--p-max-factor"),
+            ("generations", "--threshold-mult", "0", "--threshold-mult"),
+            ("generations", "--threshold-mult", "-2", "--threshold-mult"),
             ("generations", "--c1", "0.1", "--c1"),
             ("threshold", "--k-target", "4", "--k-target"),
+            ("threshold", "--rel-tol", "0.05", "--rel-tol"),
+            ("partial", "--slack", "-1", "--slack"),
+            ("partial", "--partial-d0", "5", "--partial-d0"),
         ],
     )
     def test_out_of_range_knob_exits_1_naming_it(self, capsys, mode, flag, value, field):
@@ -382,7 +389,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv,field",
         [
-            (["partial", "--n", "300", "--d", "12", "--slack", "-1"], "partial_slack"),
+            (["partial", "--n", "300", "--d", "12", "--jobs", "0"], "jobs"),
             # the tuple search takes r + 1 vertices; n = 1 used to divide by log 1 = 0
             (["threshold", "--n", "1"], "n_list"),
             (["threshold", "--n", "2"], "n_list"),
@@ -394,6 +401,22 @@ class TestCli:
     def test_out_of_range_config_field_exits_1_naming_it(self, capsys, argv, field):
         assert main([*argv, "--trials", "1"]) == 1
         assert field in capsys.readouterr().err
+
+    def test_vertex_count_past_int32_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("99999999999999999999 0\n")
+        assert main(["percolate", "--graph", str(path), "--seeds", "0"]) == 1
+        assert "error: line 1: vertex count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c_seed,code", [("inf", 1), ("nan", 1), ("1e308", 0)])
+    def test_construct_c_seed_past_float_range(self, capsys, c_seed, code):
+        # a finite c_seed whose initial block overflows to inf takes the fallback
+        assert main(["construct", "--n", "2000", "--d", "20", "--c-seed", c_seed]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert "error: c_seed must be positive and finite" in err
+        else:
+            assert json.loads(out)["fallback_used"]
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -413,34 +436,34 @@ PINNED_OUTPUT = {
     "sweep": (
         dict(mode="sweep", n_list=(1500, 3000), d_list=(30.0, 60.0), trials=2),
         "c472ea934056fe8e6154335c60b52bc4",
-        "d27819d56760156bc06be89a49a8954f",
+        "501be929aba0fed7f6fd7a5532ac0986",
     ),
     "threshold": (
         dict(mode="threshold", n_list=(2000, 4000), probe_trials=6),
         "32aaa49d01b2637d921f7423bf582584",
-        "db60ba9ed06ee9e7d782fcf70a29685b",
+        "c9de51426da528b0977242f087cc8aa6",
     ),
     "compare": (
         # critical_size is the first crossing along one random order (no bisection)
         dict(mode="compare", n_list=(3000,), d_list=(10.0, 20.0), trials=2),
         "3cd00d5951b407dbc8a06757c86e7b73",
-        "fcd62ab0639168a35aa6cee802a02161",
+        "0b480ce26684b95dc88102e8508a9dfa",
     ),
     "generations": (
         dict(mode="generations", n_list=(2000,), trials=3),
         "1e45ce74d8a747004432fec63447816d",
-        "33e4dd3d7cc4e62deae56f68983154bc",
+        "c63c807291b4e48c838c3cca7ff3a8d4",
     ),
     "generations_p_list": (
         dict(mode="generations", n_list=(2000,), p_list=(0.004, 0.02), trials=3),
         "14b9efd52197b45493f7e57d14d96b2a",
-        "9884237b645a549c38f5096f4c19a6c3",
+        "5cfb505b6d828a22d56a1bbc52db4204",
     ),
     "partial": (
-        # d = 5 lies below partial_d0 = 10, d = 12 above it
+        # d = 5 lies below _PARTIAL_D0 = 10, d = 12 above it
         dict(mode="partial", n_list=(2000,), d_list=(5.0, 12.0), trials=2),
         "dff8660d566bc68401e63fa140df4688",
-        "36e83811f66e4b4ece9472de2eca4a04",
+        "e3e5bb3d54bd6c05a89d67f23e007d91",
     ),
 }
 

@@ -91,6 +91,8 @@ class TestGraphBasics:
             Graph.from_edges(3, [(0, 3)])
         with pytest.raises(GraphFormatError, match="range"):
             Graph.from_edges(3, [(0, 2**70)])
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            Graph.from_edges(10**20, [])
 
     def test_from_edges_rejects_other_shapes(self):
         for edges in ([(0, 1, 2), (1, 2, 0)], [0, 1]):
@@ -228,6 +230,8 @@ class TestSampler:
             GnpParams(10, 1.5, 0)
         with pytest.raises(ValueError):
             GnpParams(10, -0.1, 0)
+        with pytest.raises(ValueError, match="n must lie in"):
+            GnpParams(2**31 + 1, 0.0)
 
 
 class TestComponents:
@@ -403,6 +407,9 @@ class TestEdgeListIO:
             ("3 2\n0 1\n0 1 2\n1 1\n", "line 3: expected 'u v'"),
             ("3 2\n0 2\n0 2\n0 1 2\n", "line 3: duplicate"),
             ("3 1\n\xff\n", "line 2"),
+            # ids are int32: a vertex count past 2^31 is refused before anything is allocated
+            ("99999999999999999999 0\n", "line 1: vertex count 99999999999999999999 above"),
+            ("9223372036854775807 0\n", "line 1: vertex count"),
         ],
     )
     def test_rejects_malformed(self, tmp_path, text, fragment):
