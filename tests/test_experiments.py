@@ -370,7 +370,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "mode,flag,value,field",
         [
-            # removed search knobs
+            # removed settings: search knobs and fixed factors of the batch modes
             ("threshold", "--p-max-factor", "0", "--p-max-factor"),
             ("threshold", "--p-max-factor", "0.5", "--p-max-factor"),
             ("generations", "--threshold-mult", "0", "--threshold-mult"),
@@ -409,7 +409,7 @@ class TestCli:
         assert "error: line 1: vertex count" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c_seed,code", [("inf", 1), ("nan", 1), ("1e308", 0)])
-    def test_construct_c_seed_past_float_range(self, capsys, c_seed, code):
+    def test_construct_c_seed_at_float_extremes(self, capsys, c_seed, code):
         # a finite c_seed whose initial block overflows to inf takes the fallback
         assert main(["construct", "--n", "2000", "--d", "20", "--c-seed", c_seed]) == code
         out, err = capsys.readouterr()
