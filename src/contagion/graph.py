@@ -171,7 +171,7 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def _validated_keys(n: int, us: np.ndarray, vs: np.ndarray, lines: np.ndarray | None = None):
+def _validated_keys(n: int, us: np.ndarray, vs: np.ndarray, lines: np.ndarray | range | None = None):
     """Validate pairs; return their keys ``(u << shift) | v`` in increasing order, and shift.
 
     The first pair that is a self-loop, has an id outside ``[0, n)``, has u > v
@@ -497,7 +497,8 @@ def load_edge_list(path) -> Graph:
     Ids are ASCII digits, fields are separated by spaces or tabs, lines end in
     LF or CRLF and blank lines are skipped.  Any other byte, a self-loop, a
     repeat, an id out of range, a wrong count or n above 2^31 raises
-    GraphFormatError naming the earliest faulty line.
+    GraphFormatError naming the earliest faulty line.  A body laid out as
+    ``save_edge_list`` writes it is parsed in one pass, any other by a line scan.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -510,7 +511,36 @@ def load_edge_list(path) -> Graph:
     n, m = int(parts[0]), int(parts[1])
     if n > _MAX_N:
         raise GraphFormatError(f"line 1: vertex count {n} above {_MAX_N}")
+    ids = _plain_ids(body, m)
+    if ids is None:
+        return _scan_edge_list(body, n, m)
+    del body  # the build below is the memory peak; edge i is on line i + 2
+    return Graph._from_pair_arrays(n, ids[0::2], ids[1::2], range(2, m + 2))
 
+
+def _plain_ids(body: bytes, m: int) -> np.ndarray | None:
+    """The 2m ids of a body of m lines ``"u v\\n"``, one space, no blank line; else None.
+
+    The body must start with a digit, end in an LF and hold no byte above
+    ``"9"``; its separators (bytes below ``"0"``), in order, must be 2m, alternate
+    space and LF and never touch.  An id too wide for int64 also gives None.
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    if not m or not body or not ord("0") <= buf[0] <= ord("9") or buf.max() > ord("9"):
+        return None
+    seps = buf < ord("0")
+    kinds = buf[seps]
+    if kinds.size != 2 * m or buf[-1] != ord("\n") or np.any(seps[1:] & seps[:-1]):
+        return None
+    if np.any(kinds[0::2] != ord(" ")) or np.any(kinds[1::2] != ord("\n")):
+        return None
+    del seps, kinds
+    ids = np.fromstring(body, dtype=np.int64, sep=" ")
+    return None if np.any(ids == np.iinfo(np.int64).max) else ids
+
+
+def _scan_edge_list(body: bytes, n: int, m: int) -> Graph:
+    """Parse any body ``load_edge_list`` accepts, or name its earliest faulty line."""
     buf = np.frombuffer(body, dtype=np.uint8)
     is_nl = buf == ord("\n")
     in_token = (buf != ord(" ")) & (buf != ord("\t")) & ~is_nl
@@ -572,21 +602,31 @@ def save_edge_list(graph: Graph, path) -> None:
     pairs = np.column_stack((rows[upper], graph.indices[upper]))
     with open(path, "wb") as fh:
         fh.write(f"{graph.vertex_count} {graph.edge_count}\n".encode())
+        top = int(pairs[:, 1].max(initial=0))
+        text = _digit_records(np.arange(top + 1), len(str(top)))
         for at in range(0, len(pairs), _FORMAT_CHUNK):
-            fh.write(_format_pairs(pairs[at : at + _FORMAT_CHUNK]))
+            fh.write(_format_pairs(pairs[at : at + _FORMAT_CHUNK], text))
 
 
-def _format_pairs(pairs: np.ndarray) -> bytes:
-    """Lines ``"u v\\n"``: each id is a right-aligned field as wide as the widest id
-    plus its separator, and the unused leading cells are dropped when flattening."""
-    width = len(str(int(pairs.max())))
-    chars = np.empty((len(pairs), 2, width + 1), dtype=np.uint8)
+def _digit_records(ids: np.ndarray, width: int) -> np.ndarray:
+    """Each id's text, built once, as V{width + 1} records: ``text[2 i]`` holds
+    ``ids[i]`` right-aligned in width + 1 bytes ending in a space, ``text[2 i + 1]``
+    the same ending in an LF; the leading cells are NUL, which no line holds."""
+    chars = np.zeros((ids.size, 2, width + 1), dtype=np.uint8)
     chars[:, :, width] = (ord(" "), ord("\n"))
-    keep = np.ones(chars.shape, dtype=bool)
     for place in range(width):
-        higher = pairs // 10
-        chars[:, :, width - 1 - place] = pairs - 10 * higher + ord("0")
+        higher = ids // 10
+        digits = ids - 10 * higher + ord("0")
         if place:
-            keep[:, :, width - 1 - place] = pairs > 0
-        pairs = higher
-    return chars[keep].tobytes()
+            digits[ids == 0] = 0
+        chars[:, :, width - 1 - place] = digits[:, None]
+        ids = higher
+    return chars.view(np.dtype((np.void, width + 1))).ravel()
+
+
+def _format_pairs(pairs: np.ndarray, text: np.ndarray) -> np.ndarray:
+    """Lines ``"u v\\n"`` of the pairs of record indices ``pairs``, as one uint8 array."""
+    at = np.multiply(pairs, 2, dtype=np.int64)
+    at[:, 1] += 1  # the LF-ended record of v
+    chars = np.take(text, at).view(np.uint8)
+    return chars[chars != 0]

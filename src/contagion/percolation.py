@@ -253,11 +253,13 @@ def validate_result(graph: Graph, result: PercolationResult) -> None:
     # Rank inactive vertices after every round; then, for an active vertex,
     # "earlier" neighbors are those of lower generation, and for an inactive
     # one they are all its active neighbors.
-    rank = np.where(gen == NEVER, tau + 1, gen)
-    degrees = graph.degrees
-    earlier = rank[graph.indices] < np.repeat(rank, degrees)
-    owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    earlier_count = np.bincount(owners[earlier], minlength=n)
+    rank = gen.astype(np.int32)
+    rank[gen == NEVER] = tau + 1
+    # One flag per arc, summed per row; a trailing False for rows that start at the end.
+    earlier = np.zeros(graph.indices.size + 1, dtype=bool)
+    np.less(rank[graph.indices], np.repeat(rank, graph.degrees), out=earlier[:-1])
+    earlier_count = np.add.reduceat(earlier, graph.indptr[:-1], dtype=np.int32)
+    earlier_count[graph.degrees == 0] = 0  # reduceat gives an empty row the next row's first flag
     short = np.flatnonzero((gen >= 1) & (earlier_count < r))
     if short.size:
         v = int(short[np.argmin(gen[short])])

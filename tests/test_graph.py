@@ -10,7 +10,9 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -448,6 +450,17 @@ class TestEdgeListIO:
         g = sample_gnp(GnpParams(150, 0.05, 8))
         assert save_text(g, tmp_path) == savetxt_text(g)
 
+    # A graph this large cannot be built in a test, so its widest ids go to the
+    # per-id records directly, next to ids of every shorter width.
+    @pytest.mark.parametrize("top,n", [(9_999_999, 10**7), (10**7, 10**7 + 1), (2**31 - 1, 2**31)])
+    def test_wide_ids_match_savetxt(self, top, n):
+        ids = np.array([0, 7, 10, 999, 10**6, top], dtype=np.int64)
+        pairs = np.array([[0, 5], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [5, 5]], dtype=np.int32)
+        text = graph_module._digit_records(ids, len(str(n - 1)))
+        buf = io.BytesIO()
+        np.savetxt(buf, ids[pairs], fmt="%d")
+        assert graph_module._format_pairs(pairs, text).tobytes() == buf.getvalue()
+
 
 def save_text(graph, tmp_path):
     path = tmp_path / "g.txt"
@@ -496,10 +509,12 @@ def fault_of(message, where="line"):
 
 
 @st.composite
-def edge_files(draw, fault=None):
+def edge_files(draw, fault=None, plain=False):
     """(n, edges, file bytes): shuffled edges, spaces and tabs, blank lines, LF or CRLF.
 
-    With ``fault`` set, the file holds exactly one fault of that kind.
+    With ``fault`` set, the file holds exactly one fault of that kind.  A ``plain``
+    file is laid out as ``save_edge_list`` writes (one space, LF, no blank line),
+    with its edges in any order.
     """
     n = draw(st.integers(min_value=2 if fault else 0, max_value=25))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -533,6 +548,8 @@ def edge_files(draw, fault=None):
         token = rows[i][k]
         at = draw(st.integers(min_value=0, max_value=len(token) - 1))
         rows[i][k] = token[:at] + draw(st.sampled_from("x.,;#:")) + token[at + 1 :]
+    if plain:
+        return n, edges, "".join(f"{line}\n" for line in [f"{n} {m}"] + [" ".join(r) for r in rows]).encode()
     space = st.text(alphabet=" \t", max_size=2)
     gap = st.text(alphabet=" \t", min_size=1, max_size=3)
     lines = [draw(space) + draw(gap).join(row) + draw(space) for row in rows]
@@ -541,6 +558,13 @@ def edge_files(draw, fault=None):
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join([f"{n} {m}"] + lines) + (eol if draw(st.booleans()) else "")
     return n, edges, text.encode()
+
+
+@contextmanager
+def scan_spy():
+    """Count the loads that go through the line scan instead of the one-pass parse."""
+    with mock.patch.object(graph_module, "_scan_edge_list", wraps=graph_module._scan_edge_list) as spy:
+        yield spy
 
 
 class TestBuildAgainstReferences:
@@ -596,6 +620,95 @@ class TestBuildAgainstReferences:
         with pytest.raises(GraphFormatError) as got:
             load_edge_list(path)
         assert fault_of(str(got.value)) == fault_of(str(want.value))
+
+
+class TestPlainLayout:
+    """The one-pass parse of ``save_edge_list``'s layout against the per-line reference."""
+
+    @PROPERTY_SETTINGS
+    @given(case=edge_files(plain=True))
+    def test_load_matches_reference(self, case, tmp_path_factory):
+        n, edges, text = case
+        path = tmp_path_factory.mktemp("io") / "g.txt"
+        path.write_bytes(text)
+        with scan_spy() as spy:
+            g = load_edge_list(path)
+        assert spy.call_count == (0 if edges else 1)  # an empty body has nothing to parse
+        assert g == reference_load_edge_list(path)
+        assert g == reference_from_edges(n, edges)
+
+    @pytest.mark.parametrize("fault", FILE_FAULTS)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_fault_named_like_reference(self, fault, data, tmp_path_factory):
+        _, _, text = data.draw(edge_files(fault, plain=True))
+        path = tmp_path_factory.mktemp("io") / "bad.txt"
+        path.write_bytes(text)
+        with pytest.raises(GraphFormatError) as want:
+            reference_load_edge_list(path)
+        with pytest.raises(GraphFormatError) as got:
+            load_edge_list(path)
+        assert fault_of(str(got.value)) == fault_of(str(want.value))
+
+    def test_saved_file_takes_one_pass(self, tmp_path):
+        g = sample_gnp(GnpParams(300, 0.05, 4))
+        path = tmp_path / "g.txt"
+        save_edge_list(g, path)
+        with scan_spy() as spy:
+            assert load_edge_list(path) == g
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            b"4 3\n0 1\n0\t3\n2 3\n",  # a tab
+            b"4 3\r\n0 1\r\n0 3\r\n2 3\r\n",  # CRLF
+            b"4 3\n0 1\n\n0 3\n2 3\n",  # a blank line
+            b"4 3\n0 1\n0 3\n2 3",  # no final LF
+            b"4 3\n0 1\n0  3\n2 3\n",  # two spaces
+            b"4 3\n0 1 \n0 3\n2 3\n",  # a trailing space
+        ],
+    )
+    def test_other_layouts_take_the_scan(self, tmp_path, layout):
+        path = tmp_path / "g.txt"
+        path.write_bytes(layout)
+        with scan_spy() as spy:
+            assert load_edge_list(path) == Graph.from_edges(4, [(0, 1), (0, 3), (2, 3)])
+        assert spy.call_count == 1
+
+    # Each has 2m separators that alternate space and LF, but is not plain.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"3 2\n0 \n1 2\n",  # a line of one field ends in a space
+            b"4 3\n0 1\n \n0 3\n",  # a blank line of one space
+            b"3 1\n0 1\n2",  # no final LF: a token after the last separator
+            b"3 2\n 0\n1 2\n",  # the body starts with a separator
+        ],
+    )
+    def test_near_plain_faults_take_the_scan(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        with pytest.raises(GraphFormatError) as want:
+            reference_load_edge_list(path)
+        with scan_spy() as spy, pytest.raises(GraphFormatError) as got:
+            load_edge_list(path)
+        assert spy.call_count == 1
+        assert fault_of(str(got.value)) == fault_of(str(want.value))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (b"3 2\n0 1\n1 1\n", "line 3: self-loop at vertex 1"),
+            (b"3 2\n0 2\n0 2\n", "line 3: duplicate edge (0, 2)"),
+            (b"3 1\n0 99999999999999999999999\n", "line 2: edge (0, 99999999999999999999999) out"),
+        ],
+    )
+    def test_faulty_pair_named_by_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            load_edge_list(path)
 
 
 @st.composite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from unittest import mock
 
@@ -285,9 +286,12 @@ def graph_and_seeds(draw):
 
 @st.composite
 def graph_and_generation_map(draw):
-    """A graph and an arbitrary trace that is consistent with itself."""
+    """A graph, with up to three zero-degree rows anywhere, and an arbitrary trace
+    that is consistent with itself."""
     g, _, r = draw(graph_and_seeds())
-    n = g.vertex_count
+    n = g.vertex_count + draw(st.integers(0, 3))
+    place = draw(st.permutations(range(n)))  # vertex v of the sample becomes place[v]
+    g = Graph.from_edges(n, [(place[u], place[v]) for u, v in g.edges()])
     raw = np.array(draw(st.lists(st.integers(NEVER, 3), min_size=n, max_size=n)))
     # relabel the rounds present as 1..tau so that no round is empty
     rounds = np.unique(raw[raw >= 1])
@@ -305,15 +309,27 @@ def graph_and_generation_map(draw):
     return g, result
 
 
-def rules_hold(graph, gen, r) -> bool:
-    """Loop reference: activation needs r earlier neighbors; fixation leaves none with r."""
+def rules_hold(graph, gen, r):
+    """Loop reference: activation needs r earlier neighbors; fixation leaves none with r.
+
+    None when both hold; else the (vertex, round, neighbor count) the validator
+    names: the earliest-generation vertex without support (the lowest id among
+    ties) with its round and earlier neighbors, or failing that the lowest
+    inactive vertex with r active neighbors, the round it would activate in and
+    its active neighbors.
+    """
+    short, stuck = [], []
     for v, row in enumerate(graph.adjacency):
         active = [u for u in row if gen[u] != NEVER]
-        if gen[v] >= 1 and sum(1 for u in active if gen[u] < gen[v]) < r:
-            return False
+        earlier = sum(1 for u in active if gen[u] < gen[v])
+        if gen[v] >= 1 and earlier < r:
+            short.append((int(gen[v]), v, earlier))
         if gen[v] == NEVER and len(active) >= r:
-            return False
-    return True
+            stuck.append((v, int(gen.max(initial=0)) + 1, len(active)))
+    if short:
+        g, v, earlier = min(short)
+        return v, g, earlier
+    return stuck[0] if stuck else None
 
 
 class TestProcessProperties:
@@ -345,13 +361,17 @@ class TestProcessProperties:
     @given(case=graph_and_generation_map())
     def test_validator_matches_loop_reference(self, case):
         g, res = case
-        try:
+        named = rules_hold(g, res.generation, res.threshold)
+        if named is None:
             validate_result(g, res)
-        except ValueError:
-            accepted = False
-        else:
-            accepted = True
-        assert accepted == rules_hold(g, res.generation, res.threshold)
+            return
+        v, rnd, count = named
+        with pytest.raises(ValueError) as err:
+            validate_result(g, res)
+        message = str(err.value)
+        assert message.startswith(f"vertex {v} ")
+        assert re.search(rf"\bround {rnd}\b", message)
+        assert re.search(rf"\b{count} (earlier|active) neighbors", message)
 
     @PROPERTY_SETTINGS
     @given(case=graph_and_seeds())
