@@ -13,10 +13,16 @@ failed (every set under it closes inside one under that sibling), a last
 seed that starts no wave unless it is the one inactive vertex (it activates
 itself alone), and a subtree whose (depth, closure) signature was explored
 from a candidate pool at least as large.
+
+A fort is a nonempty set whose members each have fewer than r neighbours
+outside it, so a closure meets a fort only if a seed lies in it.  Deepening
+starts at the size of a greedy packing of disjoint forts; a child is skipped
+if its seeds leave more unhit forts than seeds to come, or one wholly before it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 from .graph import Graph
@@ -42,7 +48,8 @@ class ExactResult:
     ``status`` is "exact" when the enumeration finished, in which case
     ``witness`` is the lexicographically first minimum contagious set.  On
     "budget_exceeded", ``size`` is the size level that was being explored
-    (a lower bound on the true minimum) and ``witness`` is None.
+    (a lower bound on the true minimum, and at least the mandatory count plus
+    the size of the fort packing) and ``witness`` is None.
     ``nodes_explored`` counts contagion tests, the dominant cost.
     """
 
@@ -82,15 +89,21 @@ def min_contagious_exact(
 
     mand_set = set(mandatory)
     free = [v for v in range(n) if v not in mand_set]
+    forts = _fort_packing(adjacency, r, free, node_budget)
 
-    for extra in range(1, len(free) + 1):
+    for extra in range(max(1, len(forts)), len(free) + 1):
         size = len(mandatory) + extra
         memo: dict[tuple[int, int], int] = {}
 
         def dfs(start: int, hits: list[int], mask: int, slots: int, chosen: list[int]):
             # bits of the candidates to skip; failed siblings add their closures
             skip = mask if slots > 1 else _dead_last_seeds(adjacency, r, hits, mask)
-            for idx in range(start, len(free) - slots + 1):
+            # each unhit fort needs a seed of its own from here, by its last vertex
+            unhit = [(last, bits) for last, bits in forts if not bits & mask]
+            if len(unhit) == slots:
+                skip |= ~sum(bits for _, bits in unhit)
+            stop = min([len(free) - slots] + [last for last, _ in unhit]) + 1
+            for idx in range(start, stop):
                 v = free[idx]
                 if skip >> v & 1:
                     continue
@@ -164,3 +177,40 @@ def _dead_last_seeds(adjacency: list[list[int]], r: int, hits: list[int], mask: 
         for u in adjacency[w]:
             starters |= 1 << u
     return mask | ~starters
+
+
+def _fort_packing(adjacency: list[list[int]], r: int, free: list[int], max_balls: int) -> list[tuple[int, int]]:
+    """Disjoint forts among ``free`` (sorted ids), as (index of the last vertex in
+    ``free``, bitmask): in id order, peel each unused vertex's radius-1, then
+    radius-2, ball and take a nonempty rest shrunk to a minimal fort; stop after ``max_balls``."""
+    unused, forts, balls = set(free), [], 0
+    for v in free:
+        ball = {v}
+        for _ in range(2 if v in unused else 0):  # radius 1, then 2
+            if balls == max_balls:
+                return forts
+            balls += 1
+            ball |= {w for u in ball for w in adjacency[u] if w in unused}
+            fort = _peel(adjacency, r, set(ball))
+            for u in sorted(fort):
+                if u in fort:  # keep the fort left without u, if any
+                    fort = _peel(adjacency, r, fort - {u}) or fort
+            if fort:
+                unused -= fort
+                forts.append((bisect_left(free, max(fort)), sum(1 << u for u in fort)))
+                break
+    return forts
+
+
+def _peel(adjacency: list[list[int]], r: int, left: set[int]) -> set[int]:
+    """Shrink ``left`` in place to its largest fort (maybe empty) and return it."""
+    outside = {u: sum(w not in left for w in adjacency[u]) for u in left}
+    drop = [u for u, k in outside.items() if k >= r]
+    for u in drop:  # a member is queued once, when its count first reaches r
+        left.remove(u)
+        for w in adjacency[u]:
+            if w in left:
+                outside[w] += 1
+                if outside[w] == r:
+                    drop.append(w)
+    return left

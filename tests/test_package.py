@@ -61,7 +61,7 @@ def _density_report():
 PINNED_JSON = {
     "staged_trace": (_staged_trace, "87164887ba95d435e8706ac77cb1554f"),
     "fallback_trace": (_fallback_trace, "ff9713b9721904ff229f309a30697a97"),
-    "exact_result": (_exact_result, "0c8f959e52b53a226aec6418e05ec8ff"),
+    "exact_result": (_exact_result, "44fa1f53da7d7c2952d534e8ebfffbb0"),
     "density_witness": (_density_report, "ad761cd176a96179570b62a5d5e00541"),
 }
 
