@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, connected_components, count_by_vertex, gather_rows, is_connected
+from .graph import Graph, checked_int, connected_components, count_by_vertex, gather_rows, is_connected
 from .percolation import (
     NEVER, PercolationResult, Percolator, checked_threshold, mandatory_seeds, percolate)
 
@@ -176,11 +176,8 @@ def _staged_construct(graph, r, d, c_seed, initial_target):
         b_cap = min(b_formula, max(0, pool_budget - used_total))
         # Eligible vertices: r - 1 or more neighbors landing in the previous
         # block's kept core, and not consumed by any earlier block.
-        if c_prev.size:
-            cand, counts = count_by_vertex(gather_rows(graph, c_prev), n)
-            eligible = cand[(counts >= r - 1) & ~used[cand]]
-        else:
-            eligible = np.empty(0, dtype=np.int64)
+        cand, counts = count_by_vertex(gather_rows(graph, c_prev), n)
+        eligible = cand[(counts >= r - 1) & ~used[cand]]
         b_i = eligible[:b_cap].astype(np.int64)
         used[b_i] = True
         used_total += int(b_i.size)
@@ -286,9 +283,9 @@ class TupleSearchParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        checked_threshold(self.r)
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        object.__setattr__(self, "r", checked_threshold(self.r))
+        object.__setattr__(self, "max_iterations", checked_int(self.max_iterations, "max_iterations", 1))
+        object.__setattr__(self, "rng_seed", checked_int(self.rng_seed, "rng_seed"))
 
     @classmethod
     def for_graph(cls, n: int, r: int = 2, rng_seed: int = 0) -> "TupleSearchParams":

@@ -11,8 +11,7 @@ only sets that cannot be contagious: a candidate already active (a smaller
 depth failed), one inside the closure of an earlier sibling whose subtree
 failed (every set under it closes inside one under that sibling), a last
 seed that starts no wave unless it is the one inactive vertex (it activates
-itself alone), and a subtree whose (depth, closure) signature was explored
-from a candidate pool at least as large.
+itself alone).
 
 A fort is a nonempty set whose members each have fewer than r neighbours
 outside it, so a closure meets a fort only if a seed lies in it.  Deepening
@@ -25,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
-from .graph import Graph
+from .graph import Graph, checked_int
 from .percolation import checked_threshold, mandatory_seeds, percolate
 
 __all__ = ["ExactResult", "min_contagious_exact", "DEFAULT_NODE_BUDGET"]
@@ -68,8 +67,7 @@ def min_contagious_exact(
 ) -> ExactResult:
     """Minimum size of a contagious set under threshold r, with witness."""
     checked_threshold(r)
-    if node_budget < 1:
-        raise ValueError("node_budget must be positive")
+    node_budget = checked_int(node_budget, "node_budget", 1)  # the packing stops at balls == node_budget
     n, adjacency = graph.vertex_count, graph.adjacency
     full = (1 << n) - 1
     mandatory = sorted(mandatory_seeds(graph, r))
@@ -93,7 +91,6 @@ def min_contagious_exact(
 
     for extra in range(max(1, len(forts)), len(free) + 1):
         size = len(mandatory) + extra
-        memo: dict[tuple[int, int], int] = {}
 
         def dfs(start: int, hits: list[int], mask: int, slots: int, chosen: list[int]):
             # bits of the candidates to skip; failed siblings add their closures
@@ -115,13 +112,9 @@ def min_contagious_exact(
                         )
                     return chosen + [v]
                 if slots > 1:
-                    key = (slots - 1, child)
-                    prev = memo.get(key)
-                    if prev is None or prev > idx:
-                        memo[key] = idx
-                        found = dfs(idx + 1, child_hits, child, slots - 1, chosen + [v])
-                        if found is not None:
-                            return found
+                    found = dfs(idx + 1, child_hits, child, slots - 1, chosen + [v])
+                    if found is not None:
+                        return found
                 # v's subtree failed, and so would any later candidate's inside it
                 skip |= child
             return None

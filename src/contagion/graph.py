@@ -39,6 +39,18 @@ class GraphFormatError(ValueError):
 _MAX_N = 2**31
 
 
+def checked_int(value, name: str, low: int = 0) -> int:
+    """``value`` as an int; raises ValueError naming ``name`` unless it is an
+    integer (an integral float passes, a bool does not) of at least ``low``."""
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and int(value) == value >= low
+    except (TypeError, ValueError, OverflowError):  # a string, NaN, infinity
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def vertex_ids(vertices: Iterable[int], n: int, *, what: str = "vertex") -> set[int]:
     """The distinct ids in ``vertices`` as Python ints.
 
@@ -131,29 +143,6 @@ class Graph:
             for w in self.neighbors(u):
                 if w > u:
                     yield u, int(w)
-
-    def validate(self) -> None:
-        """Check structural invariants; raises ValueError on any breach."""
-        n = self.vertex_count
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0:
-            raise ValueError("indptr malformed")
-        if np.any(np.diff(self.indptr) < 0) or self.indptr[-1] != self.indices.size:
-            raise ValueError("indptr not monotone or inconsistent with indices")
-        if self.indices.size != 2 * self.edge_count:
-            raise ValueError("edge_count inconsistent with adjacency size")
-        if self.indices.size == 0:
-            return
-        if self.indices.min() < 0 or self.indices.max() >= n:
-            raise ValueError("neighbor id out of range")
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        dst = self.indices.astype(np.int64)
-        if np.any(src == dst):
-            raise ValueError("self-loop present")
-        same_row = src[1:] == src[:-1]
-        if np.any(same_row & (dst[1:] <= dst[:-1])):
-            raise ValueError("adjacency rows not strictly increasing (unsorted or duplicate)")
-        if not np.array_equal(np.sort(src * n + dst), np.sort(dst * n + src)):
-            raise ValueError("adjacency not symmetric")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -321,7 +310,9 @@ class GnpParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= _MAX_N:
+        object.__setattr__(self, "n", checked_int(self.n, "n"))
+        object.__setattr__(self, "rng_seed", checked_int(self.rng_seed, "rng_seed"))
+        if self.n > _MAX_N:
             raise ValueError(f"n must lie in [0, {_MAX_N}]")
         if not (0.0 <= self.p <= 1.0):
             raise ValueError("p must lie in [0, 1]")

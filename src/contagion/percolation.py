@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import UNREACHED, Graph, as_vertex_array, spread, vertex_ids
+from .graph import UNREACHED, Graph, as_vertex_array, checked_int, spread, vertex_ids
 
 __all__ = ["NEVER", "PercolationResult", "Percolator", "percolate", "mandatory_seeds", "validate_result"]
 
@@ -66,9 +66,7 @@ class PercolationResult:
 
 def checked_threshold(r) -> int:
     """``r`` as an int; raises ValueError unless it is an integer >= 2."""
-    if int(r) != r or r < 2:
-        raise ValueError("activation threshold r must be an integer >= 2")
-    return int(r)
+    return checked_int(r, "activation threshold r", 2)
 
 
 def percolate(graph: Graph, seeds: Iterable[int], r: int) -> PercolationResult:
@@ -93,7 +91,9 @@ class Percolator:
     wave one adjacency row at a time, so a run that stalls early costs what it
     touched, not O(n); the first time a wave (the seed batch counts as one)
     spans more than ``_SPARSE_ENTRIES`` entries, the state moves to numpy
-    arrays and the push/pull waves of ``graph.spread``.  On either layout
+    arrays and the push/pull waves of ``graph.spread``.  An integer array of
+    more than ``_SPARSE_ENTRIES`` seeds moves it too, once its ids pass their
+    checks; after that the layout alone picks the path.  On either layout
     ``hits`` is exact for inactive vertices only.
     """
 
@@ -123,31 +123,22 @@ class Percolator:
 
     def add_seeds(self, vs: Iterable[int]) -> "Percolator":
         """Seed the inactive ids among ``vs`` and run to fixation; returns self.
-        An array of over ``_SPARSE_ENTRIES`` ids is seeded in numpy."""
+        An array of over ``_SPARSE_ENTRIES`` ids moves the state to numpy arrays."""
         n, generation = self.graph.vertex_count, self._generation
-        if isinstance(vs, np.ndarray) and vs.size > _SPARSE_ENTRIES:
-            ids = as_vertex_array(vs, n, what="seed")
-            if type(generation) is dict:
-                self._to_arrays()
-            fresh = ids[self._generation[ids] == NEVER]
-            self._generation[fresh] = 0
-            self._seeds.extend(fresh.tolist())
-            self.active_count += fresh.size
-            self._spread_numpy(fresh)
-            return self
-        ids = vertex_ids(vs, n, what="seed")
-        if type(generation) is dict:
-            fresh = [v for v in ids if v not in generation]
-        else:
-            fresh = [v for v in ids if generation[v] == NEVER]
-        for v in fresh:
-            generation[v] = 0
-        self._seeds.extend(fresh)
-        self.active_count += len(fresh)
-        if type(generation) is dict:
+        if type(generation) is dict and not (isinstance(vs, np.ndarray) and vs.size > _SPARSE_ENTRIES):
+            fresh = [v for v in vertex_ids(vs, n, what="seed") if v not in generation]
+            generation.update(dict.fromkeys(fresh, 0))
+            self._seeds.extend(fresh)
+            self.active_count += len(fresh)
             self._spread_sparse(fresh)
-        else:
-            self._spread_numpy(np.array(fresh, dtype=np.int64))
+            return self
+        ids = as_vertex_array(vs, n, what="seed")  # checked before the layout moves
+        self._to_arrays()
+        fresh = ids[self._generation[ids] == NEVER]
+        self._generation[fresh] = 0
+        self._seeds.extend(fresh.tolist())
+        self.active_count += fresh.size
+        self._spread_numpy(fresh)
         return self
 
     def result(self) -> PercolationResult:
@@ -195,8 +186,9 @@ class Percolator:
             frontier = newly
 
     def _to_arrays(self) -> None:
-        n = self.graph.vertex_count
-        self._generation, self._hits = _filled(n, NEVER, self._generation), _filled(n, 0, self._hits)
+        if type(self._generation) is dict:
+            n = self.graph.vertex_count
+            self._generation, self._hits = _filled(n, NEVER, self._generation), _filled(n, 0, self._hits)
 
     def _spread_numpy(self, frontier: np.ndarray) -> None:
         left = self.graph.vertex_count - self.active_count

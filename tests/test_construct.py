@@ -260,6 +260,26 @@ class TestTupleSearchParams:
         assert TupleSearchParams.for_graph(1000, r=3, rng_seed=0).max_iterations == 125
         assert TupleSearchParams.for_graph(5, r=3).max_iterations == 1
 
+    def test_integral_floats_are_stored_as_ints(self):
+        # a float r once reached numpy's integers() as the float size 22.0
+        params = TupleSearchParams(r=2.0, max_iterations=10.0)
+        assert (params.r, params.max_iterations) == (2, 10)
+        assert type(params.r) is int and type(params.max_iterations) is int
+        g = sample_gnp(GnpParams(300, 0.05, 1))
+        found = search_minimal_tuple(g, params)
+        assert found is not None
+        assert found[0] == search_minimal_tuple(g, TupleSearchParams(r=2, max_iterations=10))[0]
+
+    @pytest.mark.parametrize("value", [2.5, 0, -3, True, float("nan"), float("inf"), "10"])
+    def test_rejects_a_bad_budget_naming_it(self, value):
+        with pytest.raises(ValueError, match="max_iterations"):
+            TupleSearchParams(r=2, max_iterations=value)
+
+    @pytest.mark.parametrize("value", [1.5, -1])
+    def test_rejects_a_bad_seed_naming_it(self, value):
+        with pytest.raises(ValueError, match="rng_seed"):
+            TupleSearchParams(r=2, rng_seed=value)
+
 
 class TestTupleSearch:
     def test_complete_graph_any_pair_works(self):

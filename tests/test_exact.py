@@ -132,7 +132,7 @@ class TestPinnedOutcomes:
             ((40, 0.12, 3), 2, 5, (3, None, 5, "budget_exceeded")),
             ((30, 0.12, 1), 2, None, (12, [0, 1, 2, 5, 7, 10, 16, 17, 22, 24, 25, 27], 29, "exact")),
             ((30, 0.12, 1), 2, 2000, (12, [0, 1, 2, 5, 7, 10, 16, 17, 22, 24, 25, 27], 29, "exact")),
-            ((30, 0.15, 2), 3, 5000, (6, [0, 5, 11, 14, 22, 28], 4688, "exact")),
+            ((30, 0.15, 2), 3, 5000, (6, [0, 5, 11, 14, 22, 28], 4770, "exact")),
             ((36, 0.14, 4), 3, None, (10, [0, 1, 7, 9, 21, 23, 28, 30, 32, 34], 68, "exact")),
             # more than 512 vertices: the closure's bitmask spans many machine words
             ((600, 0.001, 2), 2, 3000, (544, None, 3000, "budget_exceeded")),
@@ -141,6 +141,8 @@ class TestPinnedOutcomes:
             ((30, 0.12, 1), 2, 20, (11, None, 20, "budget_exceeded")),
             # the 5000 budget now suffices; 1000 stops a level short of 6
             ((30, 0.15, 2), 3, 1000, (5, None, 1000, "budget_exceeded")),
+            # the first finished solve above n = 36; the packing finds no fort here
+            ((100, 0.06, 1), 3, None, (14, [0, 2, 5, 13, 15, 27, 32, 36, 42, 63, 64, 66, 72, 81], 67162, "exact")),
         ],
     )
     def test_matches_from_scratch_solver(self, request, graph, r, budget, expected):
@@ -424,6 +426,12 @@ class TestBudget:
         assert (res.status, res.nodes_explored) == ("budget_exceeded", 10)
         assert len(peeled) == 10
         assert max(peeled) < 200  # radius-2 balls of a graph of mean degree 10
+
+    @pytest.mark.parametrize("budget", [0, 10.5, float("inf"), "10"])
+    def test_rejects_a_bad_budget_naming_it(self, petersen, budget):
+        # a budget of 10.5 once let the packing peel every ball: its count never equals 10.5
+        with pytest.raises(ValueError, match="node_budget"):
+            min_contagious_exact(petersen, 2, budget)
 
     def test_large_budget_same_as_default(self, petersen):
         a = min_contagious_exact(petersen, 2, node_budget=10**9)

@@ -402,6 +402,10 @@ class TestCli:
         assert main([*argv, "--trials", "1"]) == 1
         assert field in capsys.readouterr().err
 
+    def test_negative_seed_exits_1_naming_it(self, capsys):
+        assert main(["construct", "--n", "10", "--p", "0.3", "--seed", "-1"]) == 1
+        assert "error: rng_seed must be an integer" in capsys.readouterr().err
+
     def test_vertex_count_past_int32_exits_1(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text("99999999999999999999 0\n")

@@ -109,9 +109,6 @@ class TestGraphBasics:
         g = Graph.from_edges(3, [(2, 0), (1, 2)])
         assert list(g.edges()) == [(0, 2), (1, 2)]
 
-    def test_validate_passes(self, petersen):
-        petersen.validate()
-
     def test_equality(self, c4):
         other = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert c4 == other
@@ -234,6 +231,17 @@ class TestSampler:
             GnpParams(10, -0.1, 0)
         with pytest.raises(ValueError, match="n must lie in"):
             GnpParams(2**31 + 1, 0.0)
+        # a float n once failed inside numpy, and True drew a 1-vertex graph
+        for n in (10.5, True, float("nan"), "10"):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                GnpParams(n, 0.3)
+        # these once failed inside SeedSequence with a message naming no field
+        for seed in (1.5, -1, True):
+            with pytest.raises(ValueError, match="^rng_seed must be an integer"):
+                GnpParams(10, 0.3, seed)
+        params = GnpParams(10.0, 0.3, 2.0)
+        assert type(params.n) is int and type(params.rng_seed) is int
+        assert sample_gnp(params) == sample_gnp(GnpParams(10, 0.3, 2))
 
 
 class TestComponents:
@@ -581,7 +589,6 @@ class TestBuildAgainstReferences:
         g = Graph._from_pair_arrays(n, us, vs)
         assert g == reference_csr(n, us, vs)
         assert g.indices.dtype == np.int32
-        g.validate()
 
     @PROPERTY_SETTINGS
     @given(data=st.data())

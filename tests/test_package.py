@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,16 @@ def test_package_exports_the_union_of_the_submodule_lists():
     once_in_one_list = {"MODES", "gather_rows", "predicted_threshold", "render_output",
                         "render_csv", "render_json"}
     assert once_in_one_list <= set(contagion.__all__)
+
+
+def test_readme_python_blocks_run_in_order():
+    """The README's examples run as written, in order, in one namespace."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def _staged_trace():
