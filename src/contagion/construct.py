@@ -48,8 +48,8 @@ class ConstructionError(RuntimeError):
 class StageParams:
     """Knobs of the staged constructor.
 
-    ``c_seed`` scales the initial block size; None picks 1 for r = 2 and
-    min(ceil(102 * (r-1)^(r-1)), 100) for r >= 3.
+    ``c_seed`` scales the initial block size; None picks 1 for r = 2 and 100
+    for r >= 3.
     """
 
     r: int = 2
@@ -63,9 +63,7 @@ class StageParams:
     def resolved_c_seed(self) -> float:
         if self.c_seed is not None:
             return float(self.c_seed)
-        if self.r == 2:
-            return 1.0
-        return float(min(math.ceil(6 * 17 * (self.r - 1) ** (self.r - 1)), 100))
+        return 1.0 if self.r == 2 else 100.0
 
 
 @dataclass

@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -103,9 +103,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) pairs in either orientation; self-loops,
-        out-of-range ids and duplicates raise GraphFormatError naming the first."""
-        if not 0 <= n <= _MAX_N:
+        """Build a graph from (u, v) pairs in either orientation; self-loops, out-of-range
+        ids and duplicates raise GraphFormatError naming the first.  ``n`` must be an integer."""
+        n = checked_int(n, "vertex count")
+        if n > _MAX_N:
             raise GraphFormatError(f"vertex count {n} outside [0, {_MAX_N}]")
         try:
             pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
@@ -116,11 +117,9 @@ class Graph:
         return cls._from_pair_arrays(n, pairs.min(axis=1), pairs.max(axis=1))
 
     @classmethod
-    def _from_pair_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray, lines=None) -> "Graph":
+    def _from_pair_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
         """Validate pairs u < v given in any order, then lay them out with ``_layout``."""
-        keys, shift = _validated_keys(n, us, vs, lines)
-        up = np.bincount(keys >> shift, minlength=n)
-        return _layout(n, up, np.bitwise_and(keys, (1 << shift) - 1, out=keys))
+        return _from_keys(n, *_validated_keys(n, us, vs))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -160,12 +159,12 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def _validated_keys(n: int, us: np.ndarray, vs: np.ndarray, lines: np.ndarray | range | None = None):
+def _validated_keys(n: int, us: np.ndarray, vs: np.ndarray, edge: Callable | None = None):
     """Validate pairs; return their keys ``(u << shift) | v`` in increasing order, and shift.
 
-    The first pair that is a self-loop, has an id outside ``[0, n)``, has u > v
-    or repeats an earlier pair raises GraphFormatError naming ``line {lines[i]}``,
-    or ``pair {i}`` without ``lines``.  Pairs in lexicographic order (as
+    The first pair i that is a self-loop, has an id outside ``[0, n)``, has u > v
+    or repeats an earlier pair raises GraphFormatError naming ``pair {i}``, or
+    as ``edge(i)`` gives it: (where, u, v).  Pairs in lexicographic order (as
     ``save_edge_list`` writes them) skip the sort; the strict-increase check
     also rules out repeats.
     """
@@ -185,8 +184,14 @@ def _validated_keys(n: int, us: np.ndarray, vs: np.ndarray, lines: np.ndarray | 
     repeat[np.unique(keys, return_index=True)[1]] = False
     if repeat.any():
         stop = int(repeat.argmax())
-    where = f"line {lines[stop]}" if lines is not None else f"pair {stop}"
-    raise GraphFormatError(f"{where}: {_pair_fault(int(us[stop]), int(vs[stop]), n)}")
+    where, u, v = edge(stop) if edge else (f"pair {stop}", int(us[stop]), int(vs[stop]))
+    raise GraphFormatError(f"{where}: {_pair_fault(u, v, n)}")
+
+
+def _from_keys(n: int, keys: np.ndarray, shift: int) -> Graph:
+    """The graph of ``_validated_keys``'s keys; ``keys`` is reused for the upper ends."""
+    up = np.bincount(keys >> shift, minlength=n)
+    return _layout(n, up, np.bitwise_and(keys, (1 << shift) - 1, out=keys))
 
 
 def _pair_fault(u: int, v: int, n: int) -> str:
@@ -488,8 +493,9 @@ def load_edge_list(path) -> Graph:
     Ids are ASCII digits, fields are separated by spaces or tabs, lines end in
     LF or CRLF and blank lines are skipped.  Any other byte, a self-loop, a
     repeat, an id out of range, a wrong count or n above 2^31 raises
-    GraphFormatError naming the earliest faulty line.  A body laid out as
-    ``save_edge_list`` writes it is parsed in one pass, any other by a line scan.
+    GraphFormatError naming the earliest faulty line.  Every layout takes one
+    parse: ``_well_formed`` checks the body on the positions of its bytes below
+    ``"0"``, and one ``np.fromstring`` reads the ids.
     """
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -502,83 +508,76 @@ def load_edge_list(path) -> Graph:
     n, m = int(parts[0]), int(parts[1])
     if n > _MAX_N:
         raise GraphFormatError(f"line 1: vertex count {n} above {_MAX_N}")
-    ids = _plain_ids(body, m)
-    if ids is None:
-        return _scan_edge_list(body, n, m)
-    del body  # the build below is the memory peak; edge i is on line i + 2
-    return Graph._from_pair_arrays(n, ids[0::2], ids[1::2], range(2, m + 2))
+    body, count, fault = _well_formed(body, m)
+    ids = np.fromstring(body, dtype=np.int64, sep=" ") if count else np.empty(0, np.int64)
+    keys, shift = _validated_keys(n, ids[0::2], ids[1::2], lambda i: _edge_text(body, i))
+    if fault:
+        raise GraphFormatError(fault)
+    del body, ids  # the layout below is the memory peak
+    return _from_keys(n, keys, shift)
 
 
-def _plain_ids(body: bytes, m: int) -> np.ndarray | None:
-    """The 2m ids of a body of m lines ``"u v\\n"``, one space, no blank line; else None.
+def _well_formed(body: bytes, m: int) -> tuple[bytes, int, str | None]:
+    """The whole edge lines of ``body`` before its earliest layout fault, their
+    count, and that fault's message (None for a well-formed body of m edges).
 
-    The body must start with a digit, end in an LF and hold no byte above
-    ``"9"``; its separators (bytes below ``"0"``), in order, must be 2m, alternate
-    space and LF and never touch.  An id too wide for int64 also gives None.
+    The bytes below ``"0"`` separate the tokens.  In a well-formed body they are
+    all blanks (a space, a tab, an LF or the CR of a CRLF), and the run of them
+    after token t holds an LF, or ends the body, exactly when t is odd.  Touching
+    separators (a CRLF, a blank line) are grouped into runs only when some touch.
     """
     buf = np.frombuffer(body, dtype=np.uint8)
-    if not m or not body or not ord("0") <= buf[0] <= ord("9") or buf.max() > ord("9"):
-        return None
-    seps = buf < ord("0")
-    kinds = buf[seps]
-    if kinds.size != 2 * m or buf[-1] != ord("\n") or np.any(seps[1:] & seps[:-1]):
-        return None
-    if np.any(kinds[0::2] != ord(" ")) or np.any(kinds[1::2] != ord("\n")):
-        return None
-    del seps, kinds
-    ids = np.fromstring(body, dtype=np.int64, sep=" ")
-    return None if np.any(ids == np.iinfo(np.int64).max) else ids
+    below = buf < ord("0")
+    touching = bool(np.any(below[1:] & below[:-1]))
+    at = np.flatnonzero(below)
+    del below
+    kinds = buf[at]
+    lf = kinds == ord("\n")
+    blank = lf | (kinds == ord(" ")) | (kinds == ord("\t"))
+    if touching:
+        touch = np.diff(at) == 1
+        blank[:-1] |= (kinds[:-1] == ord("\r")) & lf[1:] & touch  # the CR of a CRLF
+        lf = np.logical_or.reduceat(lf, np.flatnonzero(np.concatenate(([True], ~touch))))
+    strays = [] if blank.all() else [int(at[blank.argmin()])]
+    if buf.size and buf.max() > ord("9"):
+        strays.append(int(np.argmax(buf > ord("9"))))
+    if buf.size and buf[-1] >= ord("0"):
+        lf = np.append(lf, True)
+    lf[-1:] = True  # the end of the body closes the last line
+    after = lf[int(buf.size > 0 and buf[0] < ord("0")) :]  # after[t]: an LF follows token t
+    misplaced = [2 * m] if after.size > 2 * m else []  # token indices
+    if after[0::2].any():
+        misplaced.append(2 * int(after[0::2].argmax()))
+    if not after[1::2].all():
+        misplaced.append(2 * int(after[1::2].argmin()) + 1)
+    count = after.size // 2
+    if not (strays or misplaced):
+        return body, count, None if count == m else f"expected {m} edges, found {count}"
+    starts = _token_starts(body)
+    at = min(strays + [int(starts[t]) for t in misplaced])
+    start = body.rfind(b"\n", 0, at) + 1  # the faulty line's first byte
+    count = int(np.searchsorted(starts, start)) // 2
+    end = body.find(b"\n", at)
+    text = body[start:] if end < 0 else body[start:end].removesuffix(b"\r")
+    fields = [field for field in text.replace(b"\t", b" ").split(b" ") if field]
+    line = body.count(b"\n", 0, at) + 2
+    kind = "expected 'u v'" if len(fields) != 2 else "expected two integers"
+    return body[:start], count, f"line {line}: " + (f"more than {m} edges" if count == m else kind)
 
 
-def _scan_edge_list(body: bytes, n: int, m: int) -> Graph:
-    """Parse any body ``load_edge_list`` accepts, or name its earliest faulty line."""
-    buf = np.frombuffer(body, dtype=np.uint8)
-    is_nl = buf == ord("\n")
-    in_token = (buf != ord(" ")) & (buf != ord("\t")) & ~is_nl
-    cr = np.flatnonzero(buf[:-1] == ord("\r"))
-    in_token[cr[is_nl[cr + 1]]] = False  # the CR of a CRLF; a lone CR is a stray byte
-    stray = in_token & ((buf < ord("0")) | (buf > ord("9")))
-    starts = in_token.copy()
-    starts[1:] &= ~in_token[:-1]
-    # Token starts and line ends in file order: tokens per line are the gaps.
-    events = np.flatnonzero(starts | is_nl)
-    del in_token, starts
-    line_ends = np.flatnonzero(is_nl[events])
-    tokens = np.diff(line_ends, prepend=-1, append=events.size) - 1
-    edge_lines = np.flatnonzero(tokens)  # 0-based body lines holding an edge
+def _token_starts(body: bytes) -> np.ndarray:
+    """Offsets of the tokens of ``body``, the runs of bytes from ``"0"`` up."""
+    below = np.concatenate(([True], np.frombuffer(body, dtype=np.uint8) < ord("0")))
+    return np.flatnonzero(below[:-1] & ~below[1:])
 
-    # First structural fault: edge line m+1, a line not of two fields, a stray byte.
-    faults = [*edge_lines[m : m + 1], *edge_lines[tokens[edge_lines] != 2][:1]]
-    if stray.any():
-        faults.append(np.count_nonzero(is_nl[: stray.argmax()]))
-    count = edge_lines.size
-    fault = None if count == m else f"expected {m} edges, found {count}"
-    if faults:
-        line = int(min(faults))
-        count = int(np.searchsorted(edge_lines, line))
-        fault = f"line {line + 2}: " + (
-            f"more than {m} edges"
-            if count == m
-            else "expected 'u v'" if tokens[line] != 2 else "expected two integers"
-        )
-        body = body[: int(events[line_ends[line - 1]]) + 1] if line else b""
 
-    values = np.fromstring(body, dtype=np.int64, sep=" ") if count else np.empty(0, np.int64)
-    us, vs = values[0::2], values[1::2]
-    lines = edge_lines[:count] + 2
-    # np.fromstring saturates an id too large for int64; name such a pair by its text.
-    wide = np.flatnonzero(values == np.iinfo(np.int64).max)
-    if wide.size:
-        i = int(wide[0]) // 2
-        line = int(edge_lines[i])
-        _validated_keys(n, us[:i], vs[:i], lines[:i])  # a bad edge on an earlier line is reported first
-        start = int(events[line_ends[line - 1]]) + 1 if line else 0
-        u, v = (int(t) for t in body[start:].split(maxsplit=2)[:2])
-        raise GraphFormatError(f"line {line + 2}: {_pair_fault(u, v, n)}")
-    if fault is None:
-        return Graph._from_pair_arrays(n, us, vs, lines)
-    _validated_keys(n, us, vs, lines)  # a bad edge on an earlier line is reported first
-    raise GraphFormatError(fault)
+def _edge_text(body: bytes, i: int) -> tuple[str, int, int]:
+    """Edge i of well-formed ``body`` as ``("line L", u, v)``, with its ids as the
+    file spells them (``np.fromstring`` saturates an id too wide for int64)."""
+    start = int(_token_starts(body)[2 * i])
+    u, v = body[start:].split(maxsplit=2)[:2]
+    line = body.count(b"\n", 0, start) + 2
+    return f"line {line}", int(u), int(v)
 
 
 # Edges formatted per call of _format_pairs; bounds its scratch memory.

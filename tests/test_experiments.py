@@ -209,6 +209,22 @@ def test_critical_size_is_first_crossing_of_one_order(monkeypatch, path, n, d, r
     assert 1 < k < n * 0.9  # the crossing is not forced by the seeds alone
 
 
+def test_compare_critical_size_at_r3_nears_its_prediction_as_n_grows():
+    """The one-pass critical size against Janson, Luczak, Turova and Vallier's a_c at r = 3."""
+    cfg = ExperimentConfig(
+        mode="compare", n_list=(20_000, 200_000), d_list=(20.0, 40.0), r=3, trials=5, master_seed=1
+    )
+    out = run_experiment(cfg)
+    assert not out.flagged
+    ratio = {
+        (g["n"], g["d"]): g["median_empirical_critical"] / g["predicted_critical"]
+        for g in out.summary["groups"]
+    }
+    for d in cfg.d_list:
+        assert 1.0 <= ratio[200_000, d] <= 1.3
+        assert ratio[200_000, d] < ratio[20_000, d]
+
+
 def test_threshold_flags_unclosed_lower_bracket(monkeypatch):
     # A search that always succeeds never brackets 0.5 from below.
     def always_found(graph, params):
