@@ -61,7 +61,11 @@ def _load_or_sample_graph(args):
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
+def _write(text: str, out: str | None) -> None:
+    """``text`` to the file ``out``, or to stdout without one."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -142,12 +146,7 @@ def _cmd_batch(args) -> int:
     started = time.perf_counter()
     outcome = run_experiment(config)
     elapsed = time.perf_counter() - started
-    text = render_output(config, outcome)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(render_output(config, outcome), config.out)
     print(
         f"{config.mode}: {len(outcome.records)} records in {elapsed:.1f}s"
         + (" [FLAGGED]" if outcome.flagged else ""),

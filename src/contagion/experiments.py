@@ -376,7 +376,7 @@ def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
     order = np.random.Generator(np.random.PCG64(derive_seed(seed, "critical"))).permutation(n)
     state, size = Percolator(graph, r), 0
     while state.active_count < full_fraction * n:
-        state.add_seeds(order[size : size + 1])
+        state.add_seeds([order[size]])
         size += 1
     records.append(
         ExperimentRecord(

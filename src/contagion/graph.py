@@ -51,36 +51,33 @@ def checked_int(value, name: str, low: int = 0) -> int:
     return int(value)
 
 
-def vertex_ids(vertices: Iterable[int], n: int, *, what: str = "vertex") -> set[int]:
-    """The distinct ids in ``vertices`` as Python ints.
+def as_vertex_array(vertices: Iterable[int], n: int, *, what: str = "vertex") -> np.ndarray:
+    """The distinct ids of ``vertices`` as a sorted int64 array.
 
-    Python and numpy integers are accepted.  Raises ValueError naming an id
-    that is not an integer (a float, a string) or falls outside ``[0, n)``.
+    Python and numpy integers are accepted.  Raises ValueError naming an id that is
+    not an integer (a float, a string) or falls outside ``[0, n)``.  An integer
+    array takes no per-id Python step: only its least and greatest id are checked.
     """
-    if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
-        ids = set(vertices.ravel().tolist())
+    numeric = isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu"
+    if numeric:
+        ids = vertices.ravel()
+        ends = [ids.min().item(), ids.max().item()] if ids.size else []
     else:
-        ids = set()
+        distinct = set()
         for v in vertices:
             try:
-                ids.add(operator.index(v))
+                distinct.add(operator.index(v))
             except TypeError:
                 shown = v.item() if isinstance(v, np.generic) else v
                 raise ValueError(f"{what} id {shown!r} is not an integer") from None
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        bad = min(ids) if min(ids) < 0 else max(ids)
+        ids = sorted(distinct)
+        ends = ids[:1] + ids[-1:]
+    if ends and (ends[0] < 0 or ends[-1] >= n):
+        bad = ends[0] if ends[0] < 0 else ends[-1]
         raise ValueError(f"{what} id {bad} out of range for graph with {n} vertices")
-    return ids
-
-
-def as_vertex_array(vertices: Iterable[int], n: int, *, what: str = "vertex") -> np.ndarray:
-    """The ids of ``vertices`` as a sorted unique int64 array, checked as in ``vertex_ids``;
-    of an integer array only the least and greatest id go through that check."""
-    if isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu":
-        ids = vertices.ravel()
-        vertex_ids([ids.min(), ids.max()] if ids.size else [], n, what=what)
+    if numeric:
         return count_by_vertex(ids.astype(np.int64), n, counts=False)[0]
-    return np.array(sorted(vertex_ids(vertices, n, what=what)), dtype=np.int64)
+    return np.array(ids, dtype=np.int64)
 
 
 class Graph:
@@ -500,7 +497,7 @@ def load_edge_list(path) -> Graph:
     with open(path, "rb") as fh:
         header = fh.readline()
         body = fh.read()
-    parts = header.split()
+    parts = _fields(header)
     if len(parts) != 2:
         raise GraphFormatError("line 1: expected header 'n m'")
     if not all(part.isdigit() for part in parts):  # ASCII digits only, as in the body
@@ -557,12 +554,16 @@ def _well_formed(body: bytes, m: int) -> tuple[bytes, int, str | None]:
     at = min(strays + [int(starts[t]) for t in misplaced])
     start = body.rfind(b"\n", 0, at) + 1  # the faulty line's first byte
     count = int(np.searchsorted(starts, start)) // 2
-    end = body.find(b"\n", at)
-    text = body[start:] if end < 0 else body[start:end].removesuffix(b"\r")
-    fields = [field for field in text.replace(b"\t", b" ").split(b" ") if field]
+    fields = _fields(body[start : body.find(b"\n", at) + 1 or None])  # up to its LF, if any
     line = body.count(b"\n", 0, at) + 2
     kind = "expected 'u v'" if len(fields) != 2 else "expected two integers"
     return body[:start], count, f"line {line}: " + (f"more than {m} edges" if count == m else kind)
+
+
+def _fields(line: bytes) -> list[bytes]:
+    """The fields of one line: an LF or CRLF ending dropped, then split at spaces and tabs."""
+    text = line[:-1].removesuffix(b"\r") if line.endswith(b"\n") else line
+    return [field for field in text.replace(b"\t", b" ").split(b" ") if field]
 
 
 def _token_starts(body: bytes) -> np.ndarray:

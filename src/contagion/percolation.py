@@ -19,16 +19,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import UNREACHED, Graph, as_vertex_array, checked_int, spread, vertex_ids
+from .graph import UNREACHED, Graph, as_vertex_array, checked_int, spread
 
 __all__ = ["NEVER", "PercolationResult", "Percolator", "percolate", "mandatory_seeds", "validate_result"]
 
 # Generation value for vertices the process never reaches; JSON uses null.
 NEVER = UNREACHED
 
-# A sparse state moves to numpy arrays at its first wave over more adjacency
-# entries than this: on one wave from a fresh state, row-by-row steps cost as
-# much as the move plus a numpy step near 1500 entries at n = 20000, 2400 at 200000.
+# A sparse state moves to numpy arrays at its first batch of more distinct seeds, or wave over
+# more adjacency entries, than this: on one wave from a fresh state, row-by-row steps
+# cost as much as the move plus a numpy step near 1500 entries at n = 20000, 2400 at 200000.
 _SPARSE_ENTRIES = 2048
 
 
@@ -89,12 +89,10 @@ class Percolator:
     generations differently.  A fresh state holds the generation map and the
     active-neighbour counts ``hits`` as dicts keyed by vertex and steps each
     wave one adjacency row at a time, so a run that stalls early costs what it
-    touched, not O(n); the first time a wave (the seed batch counts as one)
-    spans more than ``_SPARSE_ENTRIES`` entries, the state moves to numpy
-    arrays and the push/pull waves of ``graph.spread``.  An integer array of
-    more than ``_SPARSE_ENTRIES`` seeds moves it too, once its ids pass their
-    checks; after that the layout alone picks the path.  On either layout
-    ``hits`` is exact for inactive vertices only.
+    touched, not O(n).  A batch of more than ``_SPARSE_ENTRIES`` distinct ids,
+    or a wave (the seed batch counts as one) over more adjacency entries, moves
+    the state for good to numpy arrays and the push/pull waves of
+    ``graph.spread``.  On either layout ``hits`` is exact for inactive vertices only.
     """
 
     __slots__ = ("graph", "r", "active_count", "_generation", "_hits", "_seeds", "_per_round")
@@ -123,16 +121,15 @@ class Percolator:
 
     def add_seeds(self, vs: Iterable[int]) -> "Percolator":
         """Seed the inactive ids among ``vs`` and run to fixation; returns self.
-        An array of over ``_SPARSE_ENTRIES`` ids moves the state to numpy arrays."""
-        n, generation = self.graph.vertex_count, self._generation
-        if type(generation) is dict and not (isinstance(vs, np.ndarray) and vs.size > _SPARSE_ENTRIES):
-            fresh = [v for v in vertex_ids(vs, n, what="seed") if v not in generation]
+        A state stays sparse only for a batch of at most ``_SPARSE_ENTRIES`` distinct ids."""
+        ids, generation = as_vertex_array(vs, self.graph.vertex_count, what="seed"), self._generation
+        if type(generation) is dict and ids.size <= _SPARSE_ENTRIES:
+            fresh = [v for v in ids.tolist() if v not in generation]
             generation.update(dict.fromkeys(fresh, 0))
             self._seeds.extend(fresh)
             self.active_count += len(fresh)
             self._spread_sparse(fresh)
             return self
-        ids = as_vertex_array(vs, n, what="seed")  # checked before the layout moves
         self._to_arrays()
         fresh = ids[self._generation[ids] == NEVER]
         self._generation[fresh] = 0
@@ -161,11 +158,11 @@ class Percolator:
     def _spread_sparse(self, frontier: list[int]) -> None:
         indptr, indices, r = self.graph.indptr, self.graph.indices, self.r
         generation, hits, get_hits = self._generation, self._hits, self._hits.get
+        # A frontier holds at most _SPARSE_ENTRIES vertices: the seeds by the rule of
+        # add_seeds, a later wave because each vertex was an entry of the last one's rows.
         while frontier:
-            # a wave from more vertices than the limit is not sliced row by row
-            sliced = len(frontier) <= _SPARSE_ENTRIES
-            rows = [indices[indptr[u] : indptr[u + 1]] for u in frontier] if sliced else []
-            if not sliced or sum(map(len, rows)) > _SPARSE_ENTRIES:
+            rows = [indices[indptr[u] : indptr[u + 1]] for u in frontier]
+            if sum(map(len, rows)) > _SPARSE_ENTRIES:
                 self._to_arrays()
                 self._spread_numpy(np.array(frontier, dtype=np.int64))
                 return

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -191,34 +192,35 @@ def reference_from_edges(n, edges):
     return reference_csr(n, us, vs)
 
 
+def reference_fields(raw: bytes) -> list[bytes]:
+    """The fields of one line read in binary: an LF or CRLF ending stripped, split at spaces and tabs."""
+    return re.findall(rb"[^ \t]+", re.sub(rb"\r?\n\Z", b"", raw))
+
+
 def reference_load_edge_list(path):
-    """Per-line reader: text mode, str.split and int(), the first bad line raises."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
+    """Per-line reader on bytes, with the README's byte rule: lines end in LF or
+    CRLF, fields split at spaces and tabs, ids are ASCII digits; the first bad
+    line raises."""
+    with open(path, "rb") as fh:
+        parts = reference_fields(fh.readline())
         if len(parts) != 2:
             raise GraphFormatError("line 1: expected header 'n m'")
-        try:
-            n, m = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("line 1: expected two integers 'n m'") from None
-        if n < 0 or m < 0:
-            raise GraphFormatError("line 1: n and m must be nonnegative")
+        if not all(part.isdigit() for part in parts):
+            raise GraphFormatError("line 1: expected two integers 'n m'")
+        n, m = int(parts[0]), int(parts[1])
         us, vs = [], []
         seen = set()
         for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
+            parts = reference_fields(raw)
+            if not parts:
                 continue
             if len(us) >= m:
                 raise GraphFormatError(f"line {lineno}: more than {m} edges")
-            parts = line.split()
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected 'u v'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: expected two integers") from None
+            if not all(part.isdigit() for part in parts):
+                raise GraphFormatError(f"line {lineno}: expected two integers")
+            u, v = int(parts[0]), int(parts[1])
             if u == v:
                 raise GraphFormatError(f"line {lineno}: self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):

@@ -225,6 +225,16 @@ def test_compare_critical_size_at_r3_nears_its_prediction_as_n_grows():
         assert ratio[200_000, d] < ratio[20_000, d]
 
 
+def test_threshold_at_r3_lies_in_its_band():
+    """Theorem 2 at r = 3: p50 (n ln^2 n)^{1/3} stays within the band at two sizes."""
+    band = statistical_thresholds()["threshold_ratio_band"]
+    out = run_experiment(ExperimentConfig(mode="threshold", n_list=(2000, 8000), r=3, master_seed=1))
+    assert not out.flagged
+    for entry in out.summary["per_n"]:
+        assert 1 / band <= entry["ratio"] <= band
+    assert out.summary["ratio_spread"] <= band
+
+
 def test_threshold_flags_unclosed_lower_bracket(monkeypatch):
     # A search that always succeeds never brackets 0.5 from below.
     def always_found(graph, params):

@@ -405,6 +405,11 @@ class TestEdgeListIO:
             ("3\n", "header"),
             ("-3 1\n", "line 1: expected two integers"),
             ("3 1_0\n", "line 1: expected two integers"),
+            # the header splits at spaces and tabs only, as a body line does
+            ("3\x0b1\n0 1\n", "line 1: expected header 'n m'"),
+            ("3\x0c1\n0 1\n", "line 1: expected header 'n m'"),
+            ("3\r1\n0 1\n", "line 1: expected header 'n m'"),
+            ("3 1\r", "line 1: expected two integers"),
             ("3 1\n0 0\n", "self-loop"),
             ("3 1\n1 0\n", "u < v"),
             ("3 1\n0 5\n", "range"),
@@ -563,7 +568,7 @@ def edge_files(draw, fault=None, plain=False):
         k = draw(st.integers(min_value=0, max_value=1))
         token = rows[i][k]
         at = draw(st.integers(min_value=0, max_value=len(token) - 1))
-        rows[i][k] = token[:at] + draw(st.sampled_from("x.,;#:")) + token[at + 1 :]
+        rows[i][k] = token[:at] + draw(st.sampled_from("x.,;#:\x0b\x0c")) + token[at + 1 :]
     if plain:
         return n, edges, "".join(f"{line}\n" for line in [f"{n} {m}"] + [" ".join(r) for r in rows]).encode()
     space = st.text(alphabet=" \t", max_size=2)

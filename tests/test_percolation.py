@@ -24,6 +24,7 @@ from contagion import (
     validate_result,
 )
 from contagion import exact as exact_module
+from contagion import graph as graph_module
 from contagion import percolation as percolation_module
 
 from conftest import (
@@ -591,6 +592,16 @@ class TestPercolator:
         validate_result(g, child.result())
         assert state.active_count == 0
 
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_distinct_ids_pick_the_seed_layout(self, kind):
+        # isolated vertices: no wave follows the seeds, so only the batch rule moves a state
+        g = Graph.empty(6)
+        with engine_path("switch"):
+            kept = on_path("switch", g, 2).add_seeds(kind([0, 1, 2, 3, 3, 2, 1, 0]))
+            moved = on_path("switch", g, 2).add_seeds(kind([0, 1, 2, 3, 4]))
+        assert type(kept._generation) is dict and kept.active_count == 4
+        assert type(moved._generation) is np.ndarray and moved.active_count == 5
+
     def test_switch_mid_run(self):
         # 0 and 1 feed 2 and 3 inside a K8 on 2..9: the seed wave spans 4
         # entries and stays sparse; the next, over rows of degree 9, does not.
@@ -643,7 +654,7 @@ class TestPercolator:
 
 
 class TestBigSeedArrays:
-    """An integer array of more than ``_SPARSE_ENTRIES`` ids is checked and seeded in numpy."""
+    """An integer array of more than ``_SPARSE_ENTRIES`` distinct ids is checked and seeded in numpy."""
 
     N = 5000
 
@@ -656,8 +667,10 @@ class TestBigSeedArrays:
         # The first batch is a list; its seed wave spans more than
         # _SPARSE_ENTRIES entries, so the state is on the array path after it.
         first = list(range(0, TestBigSeedArrays.N, 5)) if start == "arrays" else []
-        # repeats, and on the array path ids the first batch made active
-        big = np.random.default_rng(3).integers(0, 2500, size=percolation_module._SPARSE_ENTRIES + 500)
+        # over _SPARSE_ENTRIES distinct ids with repeats, and on the array path
+        # ids the first batch made active
+        size = 2 * percolation_module._SPARSE_ENTRIES
+        big = np.random.default_rng(3).integers(0, TestBigSeedArrays.N, size=size)
         return first, big
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
@@ -666,8 +679,12 @@ class TestBigSeedArrays:
         first, big = self.batches(start)
         state = Percolator(graph, 2).add_seeds(first)
         assert type(state._generation) is (np.ndarray if first else dict)
-        assert len(set(big.tolist())) < big.size and (not first or not set(first).isdisjoint(big.tolist()))
-        with mock.patch.object(percolation_module, "vertex_ids", side_effect=AssertionError("per-seed path")):
+        assert percolation_module._SPARSE_ENTRIES < len(set(big.tolist())) < big.size
+        assert not first or not set(first).isdisjoint(big.tolist())
+        # neither the per-id check of as_vertex_array nor a row-by-row step runs
+        per_id = mock.Mock(index=mock.Mock(side_effect=AssertionError("per-seed path")))
+        with mock.patch.object(graph_module, "operator", per_id), \
+                mock.patch.object(Percolator, "_spread_sparse", side_effect=AssertionError("sparse step")):
             assert state.add_seeds(big.astype(dtype)) is state
         assert type(state._generation) is np.ndarray
         gen_oracle = resumed_oracle(graph_adjacency(graph), [first, big.tolist()], 2)
