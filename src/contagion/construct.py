@@ -22,7 +22,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .graph import Graph, checked_int, connected_components, count_by_vertex, gather_rows, is_connected
+from .graph import (
+    Graph, checked_int, checked_real, connected_components, count_by_vertex, gather_rows, is_connected)
 from .percolation import (
     NEVER, PercolationResult, Percolator, checked_threshold, mandatory_seeds, percolate)
 
@@ -57,7 +58,7 @@ class StageParams:
 
     def __post_init__(self) -> None:
         checked_threshold(self.r)
-        if self.c_seed is not None and not 0 < self.c_seed < math.inf:
+        if self.c_seed is not None and not 0 < checked_real(self.c_seed, "c_seed") < math.inf:
             raise ValueError(f"c_seed must be positive and finite, got {self.c_seed}")
 
     def resolved_c_seed(self) -> float:

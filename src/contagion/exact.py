@@ -3,10 +3,12 @@
 Meant for small instances (tens of vertices).  Degree-deficient vertices
 can never be activated, so every candidate set contains them; enumeration
 deepens over how many free vertices are added, in id order, so the first
-set found is the lexicographically first minimum.  A node's closure is a
-pair: the active-neighbour counts ``hits`` (a list) and the active set as an
-int bitmask.  A child copies its parent's ``hits`` and grows the pair by one
-more seed, so it pays only for what that seed activates.  Each prune skips
+set found is the lexicographically first minimum.  Each solve builds Python
+lists of the rows from the CSR arrays once, and its closures step on them.
+A node's closure is a pair: the active-neighbour counts ``hits`` (a list) and
+the active set as an int bitmask.  A child copies its parent's ``hits`` and
+grows the pair by one more seed, so it pays only for what that seed
+activates.  Each prune skips
 only sets that cannot be contagious: a candidate already active (a smaller
 depth failed), one inside the closure of an earlier sibling whose subtree
 failed (every set under it closes inside one under that sibling), a last
@@ -68,7 +70,8 @@ def min_contagious_exact(
     """Minimum size of a contagious set under threshold r, with witness."""
     checked_threshold(r)
     node_budget = checked_int(node_budget, "node_budget", 1)  # the packing stops at balls == node_budget
-    n, adjacency = graph.vertex_count, graph.adjacency
+    n, flat, bounds = graph.vertex_count, graph.indices.tolist(), graph.indptr.tolist()
+    adjacency = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
     full = (1 << n) - 1
     mandatory = sorted(mandatory_seeds(graph, r))
     tests = 0

@@ -25,9 +25,7 @@ import io
 import json
 import math
 import numbers
-import statistics
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from typing import Callable
@@ -242,6 +240,8 @@ def _map_tasks(fn: Callable, config: ExperimentConfig, tasks: list[tuple]) -> li
     if config.jobs <= 1 or len(tasks) <= 1:
         batches = [fn(config, *task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only here: a slow import
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             batches = list(pool.map(functools.partial(fn, config), *zip(*tasks)))
     return [rec for batch in batches for rec in batch]
@@ -249,7 +249,7 @@ def _map_tasks(fn: Callable, config: ExperimentConfig, tasks: list[tuple]) -> li
 
 def _median(values) -> float | None:
     values = [v for v in values if v is not None]
-    return float(statistics.median(values)) if values else None
+    return float(np.median(values)) if values else None
 
 
 def _rate(records) -> float:

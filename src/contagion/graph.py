@@ -3,13 +3,14 @@
 Graphs are stored in compressed sparse row form (``indptr``/``indices``),
 which keeps neighbor scans cache-friendly at the sizes the experiment
 harness uses (up to a few times 10^7 arcs).  Vertices are the integers
-``0 .. vertex_count - 1`` and every adjacency row is sorted.  ``spread`` is
+``0 .. vertex_count - 1`` and every neighbour row is sorted.  ``spread`` is
 the one wave loop, behind both the BFS here and the activation engine.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +52,14 @@ def checked_int(value, name: str, low: int = 0) -> int:
     return int(value)
 
 
+def checked_real(value, name: str):
+    """``value``, unchanged; raises ValueError naming ``name`` unless it is a real
+    number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def as_vertex_array(vertices: Iterable[int], n: int, *, what: str = "vertex") -> np.ndarray:
     """The distinct ids of ``vertices`` as a sorted int64 array.
 
@@ -84,8 +93,9 @@ class Graph:
     """Immutable simple undirected graph in CSR form.
 
     ``indices[indptr[v]:indptr[v+1]]`` is the sorted neighbor row of ``v``.
-    Instances are cheap to share between worker processes because the state
-    is two flat numpy arrays.
+    The state is exactly these two flat numpy arrays (and the cached
+    ``degrees``), so instances are cheap to share between worker processes;
+    a caller that steps on Python lists builds its own.
     """
 
     def __init__(self, vertex_count: int, indptr: np.ndarray, indices: np.ndarray):
@@ -111,12 +121,7 @@ class Graph:
             raise GraphFormatError(f"vertex id out of range for {n} vertices") from None
         if pairs.shape[1:] != (2,):
             raise GraphFormatError("expected (u, v) pairs")
-        return cls._from_pair_arrays(n, pairs.min(axis=1), pairs.max(axis=1))
-
-    @classmethod
-    def _from_pair_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "Graph":
-        """Validate pairs u < v given in any order, then lay them out with ``_layout``."""
-        return _from_keys(n, *_validated_keys(n, us, vs))
+        return _from_keys(n, *_validated_keys(n, pairs.min(axis=1), pairs.max(axis=1)))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -125,13 +130,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor row of ``v`` (a read-only view, do not mutate)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """Adjacency as plain Python lists, built lazily: the exact solver's closures step on it."""
-        indptr, indices = self.indptr, self.indices
-        flat = indices.tolist()
-        return [flat[indptr[v] : indptr[v + 1]] for v in range(self.vertex_count)]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in lexicographic order."""
@@ -203,7 +201,7 @@ def _pair_fault(u: int, v: int, n: int) -> str:
 
 
 def gather_rows(graph: Graph, verts: np.ndarray) -> np.ndarray:
-    """Concatenate the adjacency rows of ``verts`` without a Python loop."""
+    """Concatenate the neighbour rows of ``verts`` without a Python loop."""
     return _gather(graph.indices, *_spans(graph.indptr, verts))
 
 
@@ -247,13 +245,6 @@ def count_by_vertex(ids: np.ndarray, n: int, counts: bool = True):
 # Label of a vertex that a run of ``spread`` may still reach.
 UNREACHED = -1
 
-# A wave weighs pulling, and pays O(n) to find the unreached, only when its push
-# would gather more than _PULL_SCAN * n entries; it pulls if _PULL_COST times the
-# pull's entries is below the push's.  A BFS of G(200000, d/n), d = 40 and 160,
-# took 17-20 ns a pulled entry and 14-34 ns a pushed one.
-_PULL_SCAN = 1.0
-_PULL_COST = 1.0
-
 
 def spread(graph: Graph, label: np.ndarray, frontier: np.ndarray, left: int,
            r: int = 1, hits: np.ndarray | None = None, wave: int = 0) -> list[np.ndarray]:
@@ -265,19 +256,14 @@ def spread(graph: Graph, label: np.ndarray, frontier: np.ndarray, left: int,
     neighbours up to ``frontier`` from call to call, exact for unreached vertices
     only.  ``left`` counts the unreached, and the run stops at 0, never gathering
     the rows of a final frontier with nothing to reach.  Each wave pushes (the
-    frontier's rows) or pulls (every unreached vertex's rows, recounted),
-    whichever gathers fewer entries (Beamer, Asanovic and Patterson, SC 2012).
+    frontier's rows) or pulls (every unreached vertex's rows, recounted), as
+    ``_pull`` rules (Beamer, Asanovic and Patterson, SC 2012).
     """
     indptr, indices, n = graph.indptr, graph.indices, graph.vertex_count
     waves: list[np.ndarray] = []
     while frontier.size and left > 0:
         starts, sizes, ends = _spans(indptr, frontier)
-        pull = None
-        if ends[-1] > _PULL_SCAN * n:
-            unreached = np.flatnonzero(label == UNREACHED)  # not empty while left > 0
-            pull = _spans(indptr, unreached)
-            if _PULL_COST * pull[2][-1] >= ends[-1]:
-                pull = None
+        pull = _pull(indptr, label, int(ends[-1]), n)
         if pull is None:
             nbrs = _gather(indices, starts, sizes, ends)
             nbrs = nbrs[label[nbrs] == UNREACHED]
@@ -288,9 +274,10 @@ def spread(graph: Graph, label: np.ndarray, frontier: np.ndarray, left: int,
             if hits is not None:
                 counts += hits[cand]
         else:
-            reached = np.zeros(pull[2][-1] + 1, dtype=np.int32)
-            np.cumsum(label[_gather(indices, *pull)] >= 0, dtype=np.int32, out=reached[1:])
-            cand, counts = unreached, np.diff(reached[pull[2]], prepend=0)
+            cand, spans = pull
+            reached = np.zeros(spans[2][-1] + 1, dtype=np.int32)
+            np.cumsum(label[_gather(indices, *spans)] >= 0, dtype=np.int32, out=reached[1:])
+            counts = np.diff(reached[spans[2]], prepend=0)
         if hits is not None:
             hits[cand] = counts
         frontier = cand if counts is None else cand[counts >= r]
@@ -301,6 +288,21 @@ def spread(graph: Graph, label: np.ndarray, frontier: np.ndarray, left: int,
         left -= frontier.size
         waves.append(frontier)
     return waves
+
+
+def _pull(indptr: np.ndarray, label: np.ndarray, push: int, n: int):
+    """The unreached vertices and their row spans if a wave should pull them, else None.
+
+    Pulling is weighed, at the cost of an O(n) scan for the unreached, only when
+    the push would gather more than n entries, and chosen when the pull gathers
+    fewer.  A BFS of G(200000, d/n), d = 40 and 160, took 17-20 ns a pulled entry
+    and 14-34 ns a pushed one.
+    """
+    if push <= n:
+        return None
+    unreached = np.flatnonzero(label == UNREACHED)  # not empty while a run has some left
+    spans = _spans(indptr, unreached)
+    return (unreached, spans) if spans[2][-1] < push else None
 
 
 @dataclass(frozen=True)
@@ -316,7 +318,7 @@ class GnpParams:
         object.__setattr__(self, "rng_seed", checked_int(self.rng_seed, "rng_seed"))
         if self.n > _MAX_N:
             raise ValueError(f"n must lie in [0, {_MAX_N}]")
-        if not (0.0 <= self.p <= 1.0):
+        if not (0.0 <= checked_real(self.p, "p") <= 1.0):
             raise ValueError("p must lie in [0, 1]")
 
 
@@ -325,10 +327,9 @@ def sample_gnp(params: GnpParams) -> Graph:
 
     Sparse draws walk the lexicographic pair order with geometric skip
     lengths (Batagelj and Brandes, Phys. Rev. E 71, 2005), so the cost is
-    O(n + m) rather than O(n^2).  p == 1 falls back to direct enumeration of
-    all pairs (sensible up to n of a few times 10^4, where the complete graph
-    itself is the memory bound).  The same params, including the seed, always
-    reproduce the identical graph.
+    O(n + m) rather than O(n^2).  At p = 1 every skip is 1, so the same
+    stream yields every pair (the complete graph is then the memory bound).
+    The same params, including the seed, always reproduce the identical graph.
 
     The skips are those of ``rng.geometric(p)`` (see ``_geometric``).  A pair
     rank decodes to its row u by a search of the row starts and to v by one
@@ -340,10 +341,7 @@ def sample_gnp(params: GnpParams) -> Graph:
     if npairs == 0 or p == 0.0:
         return Graph.empty(n)
     rng = np.random.Generator(np.random.PCG64(params.rng_seed))
-    if p >= 1.0:
-        linear = np.arange(npairs, dtype=np.int64)
-    else:
-        linear = _skip_sample(rng, npairs, p)
+    linear = _skip_sample(rng, npairs, p)
     # The rank of (u, v) is offset[u] + v; row u's ranks start at offset[u] + u + 1.
     u_range = np.arange(n, dtype=np.int64)
     offset = u_range * n - (u_range * (u_range + 3)) // 2 - 1

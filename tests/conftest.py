@@ -21,21 +21,21 @@ import pytest
 from contagion import Graph, GraphFormatError
 from contagion import graph as graph_module
 
-# Push/pull rules of graph.spread, as (_PULL_SCAN, _PULL_COST): the package's
+_REAL_PULL = graph_module._pull
+
+# Push/pull rules of graph.spread, as stand-ins for graph._pull: the package's
 # own; every wave pushes; every wave whose push would gather anything pulls.
 WAVE_RULES = {
-    "auto": (graph_module._PULL_SCAN, graph_module._PULL_COST),
-    "push": (math.inf, 1.0),
-    "pull": (-1.0, 0.0),
+    "auto": _REAL_PULL,
+    "push": lambda indptr, label, push, n: None,
+    "pull": lambda indptr, label, push, n: _REAL_PULL(indptr, label, math.inf, -1) if push else None,
 }
 
 
 @contextmanager
 def wave_rule(rule):
     """Run every wave of graph.spread by the given rule."""
-    scan, cost = WAVE_RULES[rule]
-    with mock.patch.object(graph_module, "_PULL_SCAN", scan), \
-            mock.patch.object(graph_module, "_PULL_COST", cost):
+    with mock.patch.object(graph_module, "_pull", WAVE_RULES[rule]):
         yield
 
 
@@ -52,6 +52,12 @@ def gathered():
 
     with mock.patch.object(graph_module, "_gather", spy):
         yield sizes
+
+
+def adjacency_lists(graph):
+    """The sorted neighbour rows of ``graph`` as Python lists, read off its CSR arrays."""
+    indptr, indices = graph.indptr, graph.indices
+    return [indices[indptr[v] : indptr[v + 1]].tolist() for v in range(graph.vertex_count)]
 
 
 def adjacency_sets(edges, n):
@@ -92,7 +98,7 @@ def naive_tuple_search(graph, r, budget, seed, judged=None):
     The r initial vertices of every judged chain are appended to ``judged``.
     """
     n = graph.vertex_count
-    adj = graph.adjacency
+    adj = adjacency_lists(graph)
     adj_sets = {v: set(row) for v, row in enumerate(adj)}
     rng = np.random.Generator(np.random.PCG64(seed))
     pool = set(range(n))

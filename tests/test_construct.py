@@ -58,6 +58,12 @@ class TestStageParams:
         with pytest.raises(ValueError):
             StageParams(r=1)
 
+    @pytest.mark.parametrize("c_seed", [True, np.True_, "2.5", [1.0]])
+    def test_rejects_a_c_seed_that_is_not_a_number(self, c_seed):
+        # True was once taken as 1.0, and "2.5" failed with a bare TypeError
+        with pytest.raises(ValueError, match="^c_seed must be a real number"):
+            StageParams(c_seed=c_seed)
+
 
 class TestConstructor:
     def test_complete_graph_certificate(self):

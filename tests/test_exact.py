@@ -23,6 +23,7 @@ from contagion import exact as exact_module
 from contagion.exact import _dead_last_seeds, _fort_packing, _grow, _peel
 
 from conftest import (
+    adjacency_lists,
     adjacency_sets,
     complete_graph,
     naive_min_contagious,
@@ -221,14 +222,15 @@ class TestClosure:
     def test_matches_oracle(self, case):
         g, batches, r = case
         n, adj = g.vertex_count, adjacency_sets(list(g.edges()), g.vertex_count)
+        rows = adjacency_lists(g)
         hits, mask, seeds, active = [0] * n, 0, set(), set()
         for batch in batches:
-            mask = _grow(g.adjacency, r, hits, mask, sorted(set(batch) - active))
+            mask = _grow(rows, r, hits, mask, sorted(set(batch) - active))
             seeds |= set(batch)
             active = set(naive_percolate(adj, seeds, r)[0])
             assert mask == sum(1 << v for v in active)
             assert all(hits[v] == len(adj[v] & active) for v in range(n) if v not in active)
-        dead = _dead_last_seeds(g.adjacency, r, hits, mask)
+        dead = _dead_last_seeds(rows, r, hits, mask)
         for v in range(n):
             if v in active:
                 assert dead >> v & 1, v
@@ -287,7 +289,7 @@ class TestPrunes:
         # leaves the fort unhit with no seed to come, so only the fort prune
         # keeps it from being tested.
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)])
-        assert _fort_packing(g.adjacency, 2, list(range(6)), 100) == [(5, 0b111000)]
+        assert _fort_packing(adjacency_lists(g), 2, list(range(6)), 100) == [(5, 0b111000)]
         res, sets = solve_and_list_tests(g, 2, forts=False)
         assert sets == [(), (0,), (0, 1), (0, 3), (0, 3)]
         res, sets = solve_and_list_tests(g, 2)
@@ -301,12 +303,12 @@ class TestPrunes:
         # neighbours, so it is seeded at the root); the rule is checked alone.
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         hits = [0] * 3
-        mask = _grow(g.adjacency, 2, hits, 0, [0, 1])
+        mask = _grow(adjacency_lists(g), 2, hits, 0, [0, 1])
         assert mask == 0b011  # 2's one neighbour is active: seeding 2 starts no wave
-        assert [_dead_last_seeds(g.adjacency, 2, hits, mask) >> v & 1 for v in range(3)] == [1, 1, 0]
+        assert [_dead_last_seeds(adjacency_lists(g), 2, hits, mask) >> v & 1 for v in range(3)] == [1, 1, 0]
         hits = [0] * 4
-        mask = _grow(c4.adjacency, 2, hits, 0, [0])
-        assert [_dead_last_seeds(c4.adjacency, 2, hits, mask) >> v & 1 for v in range(4)] == [1, 1, 0, 1]
+        mask = _grow(adjacency_lists(c4), 2, hits, 0, [0])
+        assert [_dead_last_seeds(adjacency_lists(c4), 2, hits, mask) >> v & 1 for v in range(4)] == [1, 1, 0, 1]
 
 
 def is_fort(adj, r, members):
@@ -337,7 +339,7 @@ class TestFortPacking:
         adj = adjacency_sets(list(g.edges()), n)
         mandatory = mandatory_seeds(g, r)
         free = [v for v in range(n) if v not in mandatory]
-        packing = _fort_packing(g.adjacency, r, free, 2 * n)
+        packing = _fort_packing(adjacency_lists(g), r, free, 2 * n)
         used = set()
         for last, bits in packing:
             fort = {v for v in range(n) if bits >> v & 1}
@@ -384,6 +386,12 @@ class TestSolverLaws:
             constructed, _ = construct_contagious(g)
             assert len(constructed) >= exact.size
 
+    def test_a_solve_leaves_no_list_on_the_graph(self):
+        # the solver builds its own adjacency lists; the graph stays its CSR arrays
+        g = sample_gnp(GnpParams(14, 0.2, 5))
+        min_contagious_exact(g, 2)
+        assert [name for name, value in vars(g).items() if isinstance(value, list)] == []
+
     def test_nodes_explored_positive(self, c4):
         res = min_contagious_exact(c4, 2)
         assert res.nodes_explored >= 1
@@ -407,7 +415,7 @@ class TestBudget:
         assert (short.status, full.status) == ("budget_exceeded", "exact")
         mandatory = mandatory_seeds(g, r)
         free = [v for v in range(g.vertex_count) if v not in mandatory]
-        packing = _fort_packing(g.adjacency, r, free, budget)
+        packing = _fort_packing(adjacency_lists(g), r, free, budget)
         assert len(mandatory) + len(packing) <= short.size <= full.size
 
     def test_packing_stops_at_the_budget(self):

@@ -34,6 +34,7 @@ from contagion import graph as graph_module
 from conftest import (
     WAVE_RULES,
     adjacency_sets,
+    complete_graph,
     gathered,
     naive_components,
     naive_induced_edges,
@@ -167,6 +168,24 @@ class TestSampler:
         full = sample_gnp(GnpParams(50, 1.0, 0))
         assert full.edge_count == 50 * 49 // 2
 
+    def test_p_one_takes_the_skip_stream(self, monkeypatch):
+        # every geometric skip is 1 at p = 1, so the one sampler path yields every pair
+        calls = []
+        real = graph_module._skip_sample
+
+        def spy(rng, npairs, p):
+            calls.append((npairs, p))
+            return real(rng, npairs, p)
+
+        monkeypatch.setattr(graph_module, "_skip_sample", spy)
+        assert sample_gnp(GnpParams(50, 1.0, 0)).edge_count == 50 * 49 // 2
+        assert calls == [(50 * 49 // 2, 1.0)]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [2, 3, 50, 300])
+    def test_p_one_gives_the_complete_graph(self, n, seed):
+        assert sample_gnp(GnpParams(n, 1.0, seed)) == complete_graph(n)
+
     def test_edge_count_moment(self):
         # mean = C(n,2) p, sd = sqrt(C(n,2) p (1-p)); 4 sigma two-sided
         n, p = 10_000, 1e-3
@@ -250,6 +269,17 @@ class TestSampler:
         params = GnpParams(10.0, 0.3, 2.0)
         assert type(params.n) is int and type(params.rng_seed) is int
         assert sample_gnp(params) == sample_gnp(GnpParams(10, 0.3, 2))
+
+    @pytest.mark.parametrize("p", [True, False, np.True_, "0.5", None, [0.5]])
+    def test_p_must_be_a_real_number(self, p):
+        # True once drew the complete graph, and "0.5" failed with a bare TypeError
+        with pytest.raises(ValueError, match="^p must be a real number"):
+            GnpParams(10, p)
+
+    def test_p_of_any_real_type_samples_alike(self):
+        want = sample_gnp(GnpParams(40, 0.25, 3))
+        assert sample_gnp(GnpParams(40, np.float64(0.25), 3)) == want
+        assert sample_gnp(GnpParams(40, 1, 3)) == sample_gnp(GnpParams(40, 1.0, 3))
 
 
 class TestComponents:
@@ -592,7 +622,7 @@ class TestBuildAgainstReferences:
             edges.sort()  # the sampler's lexicographic order
         us = np.array([u for u, _ in edges], dtype=np.int64)
         vs = np.array([v for _, v in edges], dtype=np.int64)
-        g = Graph._from_pair_arrays(n, us, vs)
+        g = graph_module._from_keys(n, *graph_module._validated_keys(n, us, vs))
         assert g == reference_csr(n, us, vs)
         assert g.indices.dtype == np.int32
 

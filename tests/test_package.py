@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,17 @@ def test_readme_python_blocks_run_in_order():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_import_loads_neither_the_process_pool_nor_statistics():
+    """``import contagion`` in a fresh process leaves both modules unloaded;
+    ``--jobs`` above 1 imports the pool when it runs."""
+    src = str(Path(contagion.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, contagion; print(*sorted({'concurrent.futures', 'statistics'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def _staged_trace():

@@ -28,6 +28,7 @@ from contagion import graph as graph_module
 from contagion import percolation as percolation_module
 
 from conftest import (
+    adjacency_lists,
     adjacency_sets,
     complete_graph,
     gathered,
@@ -320,7 +321,7 @@ def rules_hold(graph, gen, r):
     its active neighbors.
     """
     short, stuck = [], []
-    for v, row in enumerate(graph.adjacency):
+    for v, row in enumerate(adjacency_lists(graph)):
         active = [u for u in row if gen[u] != NEVER]
         earlier = sum(1 for u in active if gen[u] < gen[v])
         if gen[v] >= 1 and earlier < r:
@@ -424,7 +425,7 @@ def assert_hits_exact(state):
     """Every inactive vertex's ``hits`` is its number of active neighbours."""
     gen = state.result().generation
     hits = state._hits
-    for v, row in enumerate(state.graph.adjacency):
+    for v, row in enumerate(adjacency_lists(state.graph)):
         if gen[v] == NEVER:
             held = hits.get(v, 0) if type(hits) is dict else hits[v]
             assert held == sum(gen[u] != NEVER for u in row), v
@@ -560,11 +561,11 @@ class TestPercolator:
         # exactly when seeding it in a copy activates more than itself
         g, batches, r = case
         n = g.vertex_count
-        state, hits, mask = Percolator(g, r), [0] * n, 0
+        state, hits, mask, rows = Percolator(g, r), [0] * n, 0, adjacency_lists(g)
         for batch in batches:
-            mask = exact_module._grow(g.adjacency, r, hits, mask, sorted(set(batch) - state.result().active))
+            mask = exact_module._grow(rows, r, hits, mask, sorted(set(batch) - state.result().active))
             state.add_seeds(batch)
-        dead = exact_module._dead_last_seeds(g.adjacency, r, hits, mask)
+        dead = exact_module._dead_last_seeds(rows, r, hits, mask)
         for v in range(n):
             if not state.is_active(v):
                 grown = state.copy().add_seeds([v]).active_count - state.active_count
@@ -575,17 +576,17 @@ class TestPercolator:
         # on a graph of over 512 vertices, grown in two batches
         g = sample_gnp(GnpParams(600, 4.0 / 600, 3))
         seeds = list(range(0, 600, 7))
-        hits = [0] * 600
-        mask = exact_module._grow(g.adjacency, 2, hits, 0, seeds[:40])
+        hits, rows = [0] * 600, adjacency_lists(g)
+        mask = exact_module._grow(rows, 2, hits, 0, seeds[:40])
         state = Percolator(g, 2)
         child = state.copy().add_seeds(seeds[:40]).copy()
-        mask = exact_module._grow(g.adjacency, 2, hits, mask, sorted(set(seeds[40:]) - child.result().active))
+        mask = exact_module._grow(rows, 2, hits, mask, sorted(set(seeds[40:]) - child.result().active))
         child.add_seeds(seeds[40:])
         ref = percolate(g, seeds, 2)
         assert mask == sum(1 << v for v in ref.active)
         assert child.result().active == ref.active
         gen = child.result().generation
-        for v, row in enumerate(g.adjacency):
+        for v, row in enumerate(rows):
             if gen[v] == NEVER:
                 assert hits[v] == sum(gen[u] != NEVER for u in row), v
         assert_hits_exact(child)
