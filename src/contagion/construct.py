@@ -18,6 +18,7 @@ a02 is empty); an unverifiable return is an internal error, never silent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -58,7 +59,8 @@ class StageParams:
 
     def __post_init__(self) -> None:
         checked_threshold(self.r)
-        if self.c_seed is not None and not 0 < checked_real(self.c_seed, "c_seed") < math.inf:
+        # Compared exactly, so an int too large for a float fails like infinity does.
+        if self.c_seed is not None and not 0 < checked_real(self.c_seed, "c_seed") <= sys.float_info.max:
             raise ValueError(f"c_seed must be positive and finite, got {self.c_seed}")
 
     def resolved_c_seed(self) -> float:
@@ -149,14 +151,10 @@ def _staged_construct(graph, r, d, c_seed, initial_target):
     exponent = r / (r - 1)
     ell = max(1, math.ceil(math.log2(log_d)))
 
-    initial = list(range(initial_target))
     used = np.zeros(n, dtype=bool)
     used[:initial_target] = True
-    used_total = initial_target
-    pool_budget = n // 10  # cumulative block consumption cap
     c_prev = np.arange(initial_target, dtype=np.int64)
     iterations: list[IterationRecord] = []
-    seed_blocks: list[list[int]] = []
 
     for i in range(1, ell + 1):
         if r == 2:
@@ -172,32 +170,21 @@ def _staged_construct(graph, r, d, c_seed, initial_target):
         s_i = max(1, int(math.floor(s_target + 0.5)))
         c_target = int(c_seed * n / (d**exponent * 2.0 ** (ell - i)))
 
-        b_cap = min(b_formula, max(0, pool_budget - used_total))
+        # The blocks take at most n // 10 vertices in all, the initial one included.
+        b_cap = min(b_formula, max(0, n // 10 - int(np.count_nonzero(used))))
         # Eligible vertices: r - 1 or more neighbors landing in the previous
         # block's kept core, and not consumed by any earlier block.
         cand, counts = count_by_vertex(gather_rows(graph, c_prev), n)
-        eligible = cand[(counts >= r - 1) & ~used[cand]]
-        b_i = eligible[:b_cap].astype(np.int64)
+        b_i = cand[(counts >= r - 1) & ~used[cand]][:b_cap]
         used[b_i] = True
-        used_total += int(b_i.size)
 
         components = connected_components(graph, b_i)
-        x_i = len(components)
-        y_i = min(x_i, c_target // s_i)
-        selected = components[:y_i]
-        d_i = [comp[0] for comp in selected]
-        pooled: list[int] = []
-        for comp in selected:
-            pooled.extend(comp)
-        c_i = pooled[:c_target]
-
-        failed = False
+        selected = components[: c_target // s_i]
+        c_i = [v for comp in selected for v in comp][:c_target]
         reasons = []
         if b_i.size < b_formula:
-            failed = True
-            reasons.append(f"block supply {int(b_i.size)} short of target {b_formula}")
+            reasons.append(f"block supply {b_i.size} short of target {b_formula}")
         if len(c_i) < c_target:
-            failed = True
             reasons.append(f"kept core {len(c_i)} short of target {c_target}")
         iterations.append(
             IterationRecord(
@@ -205,30 +192,26 @@ def _staged_construct(graph, r, d, c_seed, initial_target):
                 s_target=s_target,
                 s_i=s_i,
                 b_target=b_formula,
-                b_i=[int(v) for v in b_i],
-                x_i=x_i,
-                y_i=y_i,
+                b_i=b_i.tolist(),
+                x_i=len(components),
+                y_i=len(selected),
                 selected_components=selected,
-                d_i=d_i,
+                d_i=[comp[0] for comp in selected],
                 c_i=c_i,
-                failed=failed,
-                reason="; ".join(reasons) if reasons else None,
+                failed=bool(reasons),
+                reason="; ".join(reasons) or None,
             )
         )
-        seed_blocks.append(d_i)
         c_prev = np.asarray(sorted(c_i), dtype=np.int64)
 
-    a01_set: set[int] = set(initial)
-    for block in seed_blocks:
-        a01_set.update(block)
-    a01 = sorted(a01_set)
+    a01 = sorted(set(range(initial_target)).union(*(rec.d_i for rec in iterations)))
     stage_run = percolate(graph, a01, r)
     a02 = np.flatnonzero(stage_run.generation == NEVER).tolist()
-    final = sorted(a01_set.union(a02))
+    final = sorted(a01 + a02)  # a02 is the never-active rest, so disjoint from a01
     trace = ConstructionTrace(
         ell=ell,
         d=d,
-        initial_block=initial,
+        initial_block=list(range(initial_target)),
         iterations=iterations,
         a01=a01,
         a02=a02,
@@ -325,10 +308,9 @@ def search_minimal_tuple(
         raise ValueError("graph smaller than r + 1")
     rng = np.random.Generator(np.random.PCG64(params.rng_seed))
     pool = np.ones(n, dtype=bool)
-    pool_size = n
     draws, done = np.empty(0, dtype=np.int64), 0
 
-    while done < params.max_iterations and pool_size >= k:
+    while done < params.max_iterations and (pool_size := int(np.count_nonzero(pool))) >= k:
         # An iteration takes at most k vertices, so none in the batch finds fewer than k.
         size = min(params.max_iterations - done, pool_size // k, _BATCH)
         while True:  # a draw is taken if its vertex is in the pool and not drawn before it
@@ -343,7 +325,6 @@ def search_minimal_tuple(
         taken = taken[: r * size]
         rows = draws[taken]
         pool[rows] = False
-        pool_size -= rows.size
         chain = rows.tolist()
         chosen_at = dict(zip(chain, (np.arange(rows.size) // r).tolist()))
         starts = [0, *(taken[r - 1 : -1 : r] + 1).tolist()]  # each iteration's first draw
@@ -364,10 +345,8 @@ def search_minimal_tuple(
             j = chosen_at.get(w, end)
             if j < end:  # iteration j drew w, which leaves the pool first: replay from j
                 pool[rows[r * j : r * end]] = True
-                pool_size += r * (end - j)
                 end, pos = j, starts[j]
             pool[w] = False
-            pool_size -= 1
             seeds = chain[r * i : r * i + r]
             state = Percolator(graph, r).add_seeds(seeds)
             if state.contagious:

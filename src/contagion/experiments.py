@@ -34,7 +34,7 @@ import numpy as np
 
 from .bounds import critical_random_seed_size
 from .construct import StageParams, TupleSearchParams, construct_contagious, search_minimal_tuple
-from .graph import GnpParams, sample_gnp
+from .graph import _MAX_N, GnpParams, sample_gnp
 from .percolation import PercolationResult, Percolator, checked_threshold, percolate
 
 __all__ = [
@@ -203,8 +203,8 @@ class ExperimentConfig:
                 raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if not self.n_list or any(n < 1 for n in self.n_list):
-            raise ValueError("n_list must be nonempty with positive entries")
+        if not self.n_list or any(not 1 <= n <= _MAX_N for n in self.n_list):
+            raise ValueError(f"n_list must be nonempty with entries in [1, {_MAX_N}]")
         checked_threshold(self.r)
         if self.mode in ("threshold", "generations") and min(self.n_list) < self.r + 1:
             # the tuple search takes r + 1 vertices per iteration
@@ -223,9 +223,16 @@ class ExperimentConfig:
 
 
 def _is_a(value, kind: str) -> bool:
-    """Whether ``value`` is an ``int``, ``float`` or ``str``; a bool is not a number."""
+    """Whether ``value`` is an ``int``, ``float`` or ``str``; a bool is not a number,
+    and a ``float`` must be a real number that ``float()`` can hold."""
     types = {"int": numbers.Integral, "float": numbers.Real, "str": str}[kind]
-    return isinstance(value, types) and not isinstance(value, bool)
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    if ok and kind == "float":
+        try:
+            float(value)
+        except OverflowError:  # an int past the float range
+            return False
+    return ok
 
 
 @dataclass
@@ -242,7 +249,8 @@ def _map_tasks(fn: Callable, config: ExperimentConfig, tasks: list[tuple]) -> li
     else:
         from concurrent.futures import ProcessPoolExecutor  # only here: a slow import
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # Never more workers than tasks: a fork pool starts all of them at its first submit.
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
             batches = list(pool.map(functools.partial(fn, config), *zip(*tasks)))
     return [rec for batch in batches for rec in batch]
 
@@ -267,6 +275,12 @@ def _trial_start(config: ExperimentConfig, n: int, x: float, trial: int):
     graph = sample_gnp(GnpParams(n, p, derive_seed(seed, "graph")))
     common = dict(mode=config.mode, n=n, d=d, p=p, r=config.r, trial=trial, rng_seed=seed)
     return seed, graph, common
+
+
+def _random_run(graph, r: int, size: int, seed: int, role: str) -> PercolationResult:
+    """Percolate from ``size`` distinct vertices drawn with the trial's ``role`` seed."""
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, role)))
+    return percolate(graph, rng.choice(graph.vertex_count, size=size, replace=False), r)
 
 
 def _run_fields(result: PercolationResult) -> dict:
@@ -329,9 +343,7 @@ def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
     ) ** (1.0 / (r - 1))
     records = []
 
-    size_hi = min(n, int(2.0 * a_c))
-    rng_hi = np.random.Generator(np.random.PCG64(derive_seed(seed, "cascade")))
-    res_hi = percolate(graph, rng_hi.choice(n, size=size_hi, replace=False), r)
+    res_hi = _random_run(graph, r, min(n, int(2.0 * a_c)), seed, "cascade")
     frac_hi = res_hi.active_count / n
     records.append(
         ExperimentRecord(
@@ -344,9 +356,7 @@ def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
         )
     )
 
-    size_lo = min(n, int(a_c / 2.0))
-    rng_lo = np.random.Generator(np.random.PCG64(derive_seed(seed, "stall")))
-    res_lo = percolate(graph, rng_lo.choice(n, size=size_lo, replace=False), r)
+    res_lo = _random_run(graph, r, min(n, int(a_c / 2.0)), seed, "stall")
     records.append(
         ExperimentRecord(
             **common,
@@ -393,9 +403,7 @@ def _compare_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> li
 
 def _partial_trial(config: ExperimentConfig, n: int, d: float, trial: int) -> list[ExperimentRecord]:
     seed, graph, common = _trial_start(config, n, d, trial)
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "half")))
-    half = math.ceil(n / 2)
-    result = percolate(graph, rng.choice(n, size=half, replace=False), config.r)
+    result = _random_run(graph, config.r, math.ceil(n / 2), seed, "half")
     inactive = n - result.active_count
     bound = statistical_thresholds()["partial_slack"] * max(1.0, n / d**3) if d > 0 else None
     return [

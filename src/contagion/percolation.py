@@ -86,7 +86,8 @@ class Percolator:
     child state.  Rounds are numbered on across batches, so the active set is
     the closure of all seeds so far and ``result()`` passes
     ``validate_result``, but a fresh ``percolate`` of the union numbers the
-    generations differently.  A fresh state holds the generation map and the
+    generations differently.  The state keeps no seed list: the seeds are the
+    generation-0 vertices.  A fresh state holds the generation map and the
     active-neighbour counts ``hits`` as dicts keyed by vertex and steps each
     wave one adjacency row at a time, so a run that stalls early costs what it
     touched, not O(n).  A batch of more than ``_SPARSE_ENTRIES`` distinct ids,
@@ -95,12 +96,11 @@ class Percolator:
     ``graph.spread``.  On either layout ``hits`` is exact for inactive vertices only.
     """
 
-    __slots__ = ("graph", "r", "active_count", "_generation", "_hits", "_seeds", "_per_round")
+    __slots__ = ("graph", "r", "active_count", "_generation", "_hits", "_per_round")
 
     def __init__(self, graph: Graph, r: int):
         self.graph, self.r, self.active_count = graph, checked_threshold(r), 0
         self._generation, self._hits = {}, {}
-        self._seeds: list[int] = []
         self._per_round: list[int] = []
 
     @property
@@ -116,7 +116,7 @@ class Percolator:
         child = object.__new__(Percolator)
         child.graph, child.r, child.active_count = self.graph, self.r, self.active_count
         child._generation, child._hits = self._generation.copy(), self._hits.copy()
-        child._seeds, child._per_round = self._seeds.copy(), self._per_round.copy()
+        child._per_round = self._per_round.copy()
         return child
 
     def add_seeds(self, vs: Iterable[int]) -> "Percolator":
@@ -126,24 +126,23 @@ class Percolator:
         if type(generation) is dict and ids.size <= _SPARSE_ENTRIES:
             fresh = [v for v in ids.tolist() if v not in generation]
             generation.update(dict.fromkeys(fresh, 0))
-            self._seeds.extend(fresh)
             self.active_count += len(fresh)
             self._spread_sparse(fresh)
             return self
         self._to_arrays()
         fresh = ids[self._generation[ids] == NEVER]
         self._generation[fresh] = 0
-        self._seeds.extend(fresh.tolist())
         self.active_count += fresh.size
         self._spread_numpy(fresh)
         return self
 
     def result(self) -> PercolationResult:
         """A snapshot of the state as a trace; later batches do not change it."""
+        generation = self._generation_array()
         return PercolationResult(
             threshold=self.r,
-            seeds=frozenset(self._seeds),
-            generation=self._generation_array(),
+            seeds=frozenset(np.flatnonzero(generation == 0).tolist()),
+            generation=generation,
             tau=len(self._per_round),
             contagious=self.contagious,
             active_count=self.active_count,

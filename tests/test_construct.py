@@ -58,6 +58,12 @@ class TestStageParams:
         with pytest.raises(ValueError):
             StageParams(r=1)
 
+    @pytest.mark.parametrize("c_seed", [pytest.param(10**400, id="10**400"), math.inf, math.nan, 0, -1.0])
+    def test_rejects_a_c_seed_that_is_not_positive_and_finite(self, c_seed):
+        # 10**400 once passed, then resolved_c_seed() raised OverflowError
+        with pytest.raises(ValueError, match="^c_seed must be positive and finite"):
+            StageParams(c_seed=c_seed)
+
     @pytest.mark.parametrize("c_seed", [True, np.True_, "2.5", [1.0]])
     def test_rejects_a_c_seed_that_is_not_a_number(self, c_seed):
         # True was once taken as 1.0, and "2.5" failed with a bare TypeError
@@ -97,23 +103,36 @@ class TestConstructor:
         assert frozenset(trace.a01) | frozenset(trace.a02) == seeds
 
     def test_trace_iteration_invariants(self):
-        # scale chosen so the initial block formula lands above 1
+        # scale chosen so the initial block formula lands above 1; at c_seed = 100
+        # the first block meets the n // 10 cap and the later ones get nothing
         n, d = 50_000, 60.0
         g = sample_gnp(GnpParams(n, d / n, 8))
-        seeds, trace = construct_contagious(g)
-        assert not trace.fallback_used
-        for rec in trace.iterations:
-            assert rec.s_i >= 1
-            assert len(rec.b_i) <= rec.b_target
-            assert rec.y_i <= rec.x_i
-            assert len(rec.d_i) == rec.y_i
-            assert len(rec.selected_components) == rec.y_i
-            # each selected component contributes its smallest vertex
-            for comp, rep in zip(rec.selected_components, rec.d_i):
-                assert rep == min(comp)
-            if not rec.failed:
-                assert rec.c_i  # pool never empty on a successful iteration
-        assert_contagious(g, seeds)
+        for params in (StageParams(), StageParams(c_seed=100.0)):
+            seeds, trace = construct_contagious(g, params)
+            assert not trace.fallback_used
+            for rec in trace.iterations:
+                assert rec.s_i >= 1
+                assert len(rec.b_i) <= rec.b_target
+                assert rec.y_i <= rec.x_i
+                assert len(rec.d_i) == rec.y_i
+                assert len(rec.selected_components) == rec.y_i
+                # each selected component contributes its smallest vertex
+                for comp, rep in zip(rec.selected_components, rec.d_i):
+                    assert rep == min(comp)
+                if not rec.failed:
+                    assert rec.c_i  # pool never empty on a successful iteration
+                assert rec.failed == (rec.reason is not None)
+            # a01 is the initial block plus each iteration's component representatives
+            initial = set(trace.initial_block)
+            assert set(trace.a01) == initial.union(*(rec.d_i for rec in trace.iterations))
+            # each block takes only vertices that no earlier block (the initial one too) took
+            taken = set(initial)
+            for rec in trace.iterations:
+                assert taken.isdisjoint(rec.b_i)
+                taken.update(rec.b_i)
+            assert sum(len(rec.b_i) for rec in trace.iterations) <= max(0, n // 10 - len(initial))
+            assert trace.final_seeds == sorted(set(trace.a01) | set(trace.a02))
+            assert_contagious(g, seeds)
 
     def test_fallback_on_low_degree(self):
         # mean degree below the cutoff routes to the greedy path

@@ -163,6 +163,32 @@ class TestDeterminism:
         b = render_output(par, run_experiment(par))
         assert a == b
 
+    def test_pool_never_asks_for_more_workers_than_tasks(self, monkeypatch, small_cfg):
+        # a fork pool starts every worker it was asked for, so none may go unused
+        import concurrent.futures
+        import dataclasses
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        wide = dataclasses.replace(small_cfg, jobs=5000)
+        serial = render_output(small_cfg, run_experiment(small_cfg))
+        assert render_output(wide, run_experiment(wide)) == serial
+        assert asked == [small_cfg.trials]
+
     def test_csv_parses_to_header(self, small_cfg):
         text = render_output(small_cfg, run_experiment(small_cfg))
         rows = list(csv.reader(io.StringIO(text)))
@@ -381,7 +407,9 @@ class TestCli:
             assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field,value", [("trials", None), ("n_list", ["100"]), ("n_list", 100)]
+        "field,value",
+        # a d of 10**400 once ended in an OverflowError traceback: no float holds it
+        [("trials", None), ("n_list", ["100"]), ("n_list", 100), ("d_list", [10**400])],
     )
     def test_config_wrong_type_exits_1(self, tmp_path, capsys, field, value):
         cfg = tmp_path / "cfg.json"
@@ -422,6 +450,9 @@ class TestCli:
             (["threshold", "--n", "300,3", "--r", "3"], "n_list"),
             (["generations", "--n", "1"], "n_list"),
             (["generations", "--n", "2", "--p", "0.5"], "n_list"),
+            # past the 2**31 vertex limit; 10**400 once ended in an OverflowError traceback
+            (["threshold", "--n", str(10**400)], "n_list"),
+            (["sweep", "--n", str(2**31 + 1), "--d", "5"], "n_list"),
         ],
     )
     def test_out_of_range_config_field_exits_1_naming_it(self, capsys, argv, field):
