@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graph import Graph, induced_edge_count
-from .percolation import PercolationResult, checked_threshold
+from .percolation import NEVER, PercolationResult, checked_threshold
 
 __all__ = [
     "DensityWitnessReport",
@@ -47,9 +47,10 @@ class DensityWitnessReport:
 def density_witness(graph: Graph, result: PercolationResult, t: int) -> DensityWitnessReport:
     """Check the prefix edge-density bound on a percolation trace.
 
-    The prefix is the seed set plus the t - t0 earliest activations,
-    ordered by generation with ties broken by vertex id.  ``t`` must lie
-    between the seed count and the active count.
+    The prefix is the first t active vertices of the generation map, ordered
+    by generation with ties broken by vertex id: the t0 seeds, then the
+    t - t0 earliest activations.  ``t`` must lie between the seed count and
+    the active count.
     """
     t0 = len(result.seeds)
     if not (t0 <= t <= result.active_count):
@@ -57,11 +58,8 @@ def density_witness(graph: Graph, result: PercolationResult, t: int) -> DensityW
             f"t={t} out of range [{t0}, {result.active_count}] for this trace"
         )
     gen = result.generation
-    infected = np.flatnonzero(gen >= 1)
-    order = np.lexsort((infected, gen[infected]))
-    take = infected[order][: t - t0]
-    seed_arr = np.fromiter(result.seeds, dtype=np.int64) if result.seeds else np.empty(0, np.int64)
-    prefix = np.concatenate([seed_arr, take])
+    active = np.flatnonzero(gen != NEVER)  # by id, then stably by generation
+    prefix = active[np.argsort(gen[active], kind="stable")[:t]]
     edges_found = induced_edge_count(graph, prefix)
     edges_required = result.threshold * (t - t0)
     return DensityWitnessReport(

@@ -175,9 +175,9 @@ CSV_HEADER_V1 = [f.name for f in fields(ExperimentRecord)]
 class ExperimentConfig:
     """Declarative description of one batch run.
 
-    ``out``, ``fmt``, and ``jobs`` steer I/O and parallelism only; they are
-    excluded from serialized output so reruns stay byte-identical whatever
-    the destination or worker count.
+    ``out``, ``fmt``, and ``jobs`` steer I/O and parallelism only.  ``out``
+    and ``jobs`` are left out of ``serializable()``, so reruns stay
+    byte-identical whatever the destination or worker count; ``fmt`` is kept.
     """
 
     mode: str

@@ -60,26 +60,31 @@ def checked_real(value, name: str):
     return value
 
 
+def vertex_id(v, what: str = "vertex") -> int:
+    """``v`` as an int; raises ValueError naming it unless it is a Python or numpy
+    integer (a float, even an integral one, a string or a bool is not)."""
+    if not isinstance(v, (bool, np.bool_)):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    shown = v.item() if isinstance(v, np.generic) else v
+    raise ValueError(f"{what} id {shown!r} is not an integer")
+
+
 def as_vertex_array(vertices: Iterable[int], n: int, *, what: str = "vertex") -> np.ndarray:
     """The distinct ids of ``vertices`` as a sorted int64 array.
 
-    Python and numpy integers are accepted.  Raises ValueError naming an id that is
-    not an integer (a float, a string) or falls outside ``[0, n)``.  An integer
-    array takes no per-id Python step: only its least and greatest id are checked.
+    Each id must pass ``vertex_id``.  Raises ValueError naming an id that does
+    not or that falls outside ``[0, n)``.  An integer array takes no per-id
+    Python step: only its least and greatest id are checked.
     """
     numeric = isinstance(vertices, np.ndarray) and vertices.dtype.kind in "iu"
     if numeric:
         ids = vertices.ravel()
         ends = [ids.min().item(), ids.max().item()] if ids.size else []
     else:
-        distinct = set()
-        for v in vertices:
-            try:
-                distinct.add(operator.index(v))
-            except TypeError:
-                shown = v.item() if isinstance(v, np.generic) else v
-                raise ValueError(f"{what} id {shown!r} is not an integer") from None
-        ids = sorted(distinct)
+        ids = sorted({vertex_id(v, what) for v in vertices})
         ends = ids[:1] + ids[-1:]
     if ends and (ends[0] < 0 or ends[-1] >= n):
         bad = ends[0] if ends[0] < 0 else ends[-1]
@@ -110,17 +115,21 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) pairs in either orientation; self-loops, out-of-range
-        ids and duplicates raise GraphFormatError naming the first.  ``n`` must be an integer."""
+        """Build a graph from (u, v) pairs in either orientation; ids that fail ``vertex_id``,
+        self-loops, out-of-range ids and duplicates raise GraphFormatError naming the
+        first.  ``n`` must be an integer."""
         n = checked_int(n, "vertex count")
         if n > _MAX_N:
             raise GraphFormatError(f"vertex count {n} outside [0, {_MAX_N}]")
+        pairs = np.array(list(edges) or np.empty((0, 2)), dtype=object)  # a ragged list stays 1-D
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise GraphFormatError("expected (u, v) pairs")
         try:
-            pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
+            pairs = np.array([vertex_id(v) for v in pairs.flat], dtype=np.int64).reshape(-1, 2)
         except OverflowError:
             raise GraphFormatError(f"vertex id out of range for {n} vertices") from None
-        if pairs.shape[1:] != (2,):
-            raise GraphFormatError("expected (u, v) pairs")
+        except ValueError as err:
+            raise GraphFormatError(str(err)) from None
         return _from_keys(n, *_validated_keys(n, pairs.min(axis=1), pairs.max(axis=1)))
 
     @cached_property

@@ -13,8 +13,7 @@ new activations only.  ``percolate`` runs a fresh state once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -34,25 +33,38 @@ _SPARSE_ENTRIES = 2048
 
 @dataclass(eq=False)
 class PercolationResult:
-    """Full trace of one activation run.
+    """Full trace of one activation run: its generation map.
 
     ``generation[v]`` is the round in which v became active (0 for seeds,
-    NEVER if the process never reached it).  ``per_round_counts[g - 1]`` is
-    the number of vertices newly activated in round g, so the counts sum to
-    ``active_count - len(seeds)``.
+    NEVER if the process never reached it).  Every other fact of the run is
+    read off the map at each access: ``tau`` is its last round and
+    ``per_round_counts[g - 1]`` the number of vertices of generation g, so the
+    counts sum to ``active_count - len(seeds)``.
     """
 
     threshold: int
     seeds: frozenset[int]
     generation: np.ndarray
-    tau: int
-    contagious: bool
-    active_count: int
-    per_round_counts: tuple[int, ...] = field(default_factory=tuple)
 
-    @cached_property
+    @property
     def active(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.generation != NEVER).tolist())
+
+    @property
+    def active_count(self) -> int:
+        return int(np.count_nonzero(self.generation != NEVER))
+
+    @property
+    def contagious(self) -> bool:
+        return self.active_count == self.generation.size
+
+    @property
+    def tau(self) -> int:
+        return int(self.generation.max(initial=0))
+
+    @property
+    def per_round_counts(self) -> tuple[int, ...]:
+        return tuple(np.bincount(self.generation[self.generation > 0])[1:].tolist())
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,25 +95,24 @@ class Percolator:
 
     ``add_seeds(vs)`` seeds the inactive ids among ``vs`` (repeated or active
     ids are no-ops) and runs on to fixation; ``copy()`` gives an independent
-    child state.  Rounds are numbered on across batches, so the active set is
-    the closure of all seeds so far and ``result()`` passes
-    ``validate_result``, but a fresh ``percolate`` of the union numbers the
-    generations differently.  The state keeps no seed list: the seeds are the
-    generation-0 vertices.  A fresh state holds the generation map and the
-    active-neighbour counts ``hits`` as dicts keyed by vertex and steps each
-    wave one adjacency row at a time, so a run that stalls early costs what it
-    touched, not O(n).  A batch of more than ``_SPARSE_ENTRIES`` distinct ids,
+    child state.  Rounds are numbered on across batches (``rounds`` counts them
+    so far), so the active set is the closure of all seeds so far and
+    ``result()`` passes ``validate_result``, but a fresh ``percolate`` of the
+    union numbers the generations differently.  The state keeps no seed list:
+    the seeds are the generation-0 vertices.  A fresh state holds the
+    generation map and the active-neighbour counts ``hits`` as dicts keyed by
+    vertex and steps each wave one adjacency row at a time, so a run that
+    stalls early costs what it touched, not O(n).  A batch of more than ``_SPARSE_ENTRIES`` distinct ids,
     or a wave (the seed batch counts as one) over more adjacency entries, moves
     the state for good to numpy arrays and the push/pull waves of
     ``graph.spread``.  On either layout ``hits`` is exact for inactive vertices only.
     """
 
-    __slots__ = ("graph", "r", "active_count", "_generation", "_hits", "_per_round")
+    __slots__ = ("graph", "r", "active_count", "rounds", "_generation", "_hits")
 
     def __init__(self, graph: Graph, r: int):
-        self.graph, self.r, self.active_count = graph, checked_threshold(r), 0
+        self.graph, self.r, self.active_count, self.rounds = graph, checked_threshold(r), 0, 0
         self._generation, self._hits = {}, {}
-        self._per_round: list[int] = []
 
     @property
     def contagious(self) -> bool:
@@ -114,9 +125,9 @@ class Percolator:
 
     def copy(self) -> "Percolator":
         child = object.__new__(Percolator)
-        child.graph, child.r, child.active_count = self.graph, self.r, self.active_count
+        child.graph, child.r = self.graph, self.r
+        child.active_count, child.rounds = self.active_count, self.rounds
         child._generation, child._hits = self._generation.copy(), self._hits.copy()
-        child._per_round = self._per_round.copy()
         return child
 
     def add_seeds(self, vs: Iterable[int]) -> "Percolator":
@@ -139,15 +150,7 @@ class Percolator:
     def result(self) -> PercolationResult:
         """A snapshot of the state as a trace; later batches do not change it."""
         generation = self._generation_array()
-        return PercolationResult(
-            threshold=self.r,
-            seeds=frozenset(np.flatnonzero(generation == 0).tolist()),
-            generation=generation,
-            tau=len(self._per_round),
-            contagious=self.contagious,
-            active_count=self.active_count,
-            per_round_counts=tuple(self._per_round),
-        )
+        return PercolationResult(self.r, frozenset(np.flatnonzero(generation == 0).tolist()), generation)
 
     def _generation_array(self) -> np.ndarray:
         if type(self._generation) is dict:
@@ -176,8 +179,8 @@ class Percolator:
                         newly.append(w)
             if not newly:
                 break
-            self._per_round.append(len(newly))
-            generation.update(dict.fromkeys(newly, len(self._per_round)))
+            self.rounds += 1
+            generation.update(dict.fromkeys(newly, self.rounds))
             self.active_count += len(newly)
             frontier = newly
 
@@ -188,9 +191,8 @@ class Percolator:
 
     def _spread_numpy(self, frontier: np.ndarray) -> None:
         left = self.graph.vertex_count - self.active_count
-        waves = spread(self.graph, self._generation, frontier, left, self.r, self._hits,
-                       len(self._per_round))
-        self._per_round.extend(wave.size for wave in waves)
+        waves = spread(self.graph, self._generation, frontier, left, self.r, self._hits, self.rounds)
+        self.rounds += len(waves)
         self.active_count += sum(wave.size for wave in waves)
 
 
@@ -208,35 +210,26 @@ def mandatory_seeds(graph: Graph, r: int) -> frozenset[int]:
 
 
 def validate_result(graph: Graph, result: PercolationResult) -> None:
-    """Replay a trace and raise ValueError on any internal inconsistency.
+    """Replay a trace and raise ValueError if its generation map breaks the process.
 
-    Checks the seed/generation correspondence, the per-round counts, tau,
-    the contagious flag, the activation rule itself (every vertex of
-    generation g >= 1 has at least r neighbors of strictly earlier
-    generation) and fixation (every vertex left inactive has fewer than r
-    active neighbors).
+    The counts, tau and the contagious flag are read off the map, so only the
+    map is checked: its length and values, that its generation-0 vertices are
+    the seed set, that no round from 1 to tau is empty, the activation rule
+    itself (every vertex of generation g >= 1 has at least r neighbors of
+    strictly earlier generation) and fixation (every vertex left inactive has
+    fewer than r active neighbors).
     """
     n = graph.vertex_count
     gen = result.generation
     r = result.threshold
     if gen.shape != (n,):
         raise ValueError("generation array has wrong length")
-    seeds = np.flatnonzero(gen == 0)
-    if frozenset(seeds.tolist()) != result.seeds:
+    if np.any(gen < NEVER):
+        raise ValueError(f"generation {gen.min()} is neither a round nor NEVER")
+    if frozenset(np.flatnonzero(gen == 0).tolist()) != result.seeds:
         raise ValueError("generation-0 vertices disagree with the seed set")
-    active = np.flatnonzero(gen != NEVER)
-    if active.size != result.active_count:
-        raise ValueError("active_count disagrees with the generation map")
-    if result.contagious != (active.size == n):
-        raise ValueError("contagious flag inconsistent with active count")
-    finite = gen[active]
-    tau = int(finite.max()) if active.size else 0
-    if tau != result.tau:
-        raise ValueError("tau is not the maximum finite generation")
-    counts = np.bincount(finite, minlength=tau + 1) if active.size else np.zeros(1, int)
-    if tuple(int(c) for c in counts[1:]) != result.per_round_counts:
-        raise ValueError("per-round counts disagree with the generation map")
-    if any(c <= 0 for c in result.per_round_counts):
+    tau = result.tau
+    if 0 in result.per_round_counts:
         raise ValueError("a round with no activations was recorded")
     # Rank inactive vertices after every round; then, for an active vertex,
     # "earlier" neighbors are those of lower generation, and for an inactive

@@ -106,9 +106,26 @@ class TestGraphBasics:
         assert g == Graph.from_edges(3, [(0, 1)]) and type(g.vertex_count) is int
 
     def test_from_edges_rejects_other_shapes(self):
-        for edges in ([(0, 1, 2), (1, 2, 0)], [0, 1]):
+        for edges in ([(0, 1, 2), (1, 2, 0)], [0, 1], [(0, 1), (1,)]):
             with pytest.raises(GraphFormatError, match="pairs"):
                 Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("edges, shown", [
+        ([(0.5, 1.7)], "0.5"),
+        ([(0, 1), (2.9, 0)], "2.9"),
+        ([(0, 1.0)], "1.0"),
+        ([("1", "2")], "'1'"),
+        ([(True, 2)], "True"),
+        ([(0, np.True_)], "True"),
+    ])
+    def test_from_edges_rejects_ids_that_are_not_integers(self, edges, shown):
+        # the rule seeds follow: a float, even an integral one, a string or a bool is no id
+        with pytest.raises(GraphFormatError, match=f"vertex id {shown} is not an integer"):
+            Graph.from_edges(3, edges)
+
+    def test_from_edges_takes_numpy_integer_ids(self):
+        g = Graph.from_edges(3, [(np.int32(0), np.uint8(2)), *np.array([[1, 2]], dtype=np.uint64)])
+        assert list(g.edges()) == [(0, 2), (1, 2)]
 
     def test_from_edges_rejects_duplicates(self):
         with pytest.raises(GraphFormatError):

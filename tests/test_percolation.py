@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from contextlib import contextmanager
@@ -233,6 +234,14 @@ class TestResultShape:
         res = percolate(petersen, [0, 2, 8], 2)
         assert sum(res.per_round_counts) == res.active_count - len(res.seeds)
 
+    def test_counts_are_read_off_the_map(self, c4):
+        assert [f.name for f in dataclasses.fields(PercolationResult)] == ["threshold", "seeds", "generation"]
+        res = percolate(c4, [0, 2], 2)
+        res.generation[3] = NEVER
+        assert (res.tau, res.active_count, res.contagious, res.per_round_counts) == (1, 3, False, (1,))
+        assert res.active == frozenset({0, 1, 2})
+        assert res.to_json_dict()["per_round"] == [1]
+
 
 class TestValidator:
     def test_accepts_engine_output(self, petersen):
@@ -248,15 +257,25 @@ class TestValidator:
     def test_rejects_premature_activation(self, path5):
         res = percolate(path5, [0, 2], 2)
         res.generation[4] = 1  # vertex without support
-        object.__setattr__(res, "active_count", res.active_count + 1)
         with pytest.raises(ValueError):
             validate_result(path5, res)
 
     def test_names_vertex_and_round_without_support(self, path5):
         res = percolate(path5, [0, 2], 2)
         res.generation[3] = 1  # one earlier neighbor (2), not two
-        res.active_count, res.per_round_counts = 4, (2,)
         with pytest.raises(ValueError, match="vertex 3 activated in round 1 with only 1 earlier"):
+            validate_result(path5, res)
+
+    def test_rejects_generation_below_never(self, c4):
+        res = percolate(c4, [0, 2], 2)
+        res.generation[1] = NEVER - 1
+        with pytest.raises(ValueError, match=f"generation {NEVER - 1} is neither a round nor NEVER"):
+            validate_result(c4, res)
+
+    def test_rejects_an_empty_round(self, path5):
+        res = percolate(path5, [0, 2, 4], 2)
+        res.generation[[1, 3]] = [1, 3]  # 3 has two earlier neighbors, but round 2 is empty
+        with pytest.raises(ValueError, match="a round with no activations"):
             validate_result(path5, res)
 
     def test_rejects_trace_cut_before_fixation(self):
@@ -264,11 +283,8 @@ class TestValidator:
         seeds = np.random.default_rng(0).choice(2000, size=40, replace=False)
         res = percolate(g, seeds, 3)
         assert res.tau > 1
-        # Keep rounds 0 and 1 and make the trace consistent with itself.
+        # Keep rounds 0 and 1.
         res.generation[res.generation > 1] = NEVER
-        active = int(np.count_nonzero(res.generation != NEVER))
-        res.tau, res.active_count, res.contagious = 1, active, False
-        res.per_round_counts = res.per_round_counts[:1]
         with pytest.raises(ValueError, match="before fixation"):
             validate_result(g, res)
 
@@ -298,17 +314,7 @@ def graph_and_generation_map(draw):
     # relabel the rounds present as 1..tau so that no round is empty
     rounds = np.unique(raw[raw >= 1])
     gen = np.where(raw >= 1, np.searchsorted(rounds, raw) + 1, raw)
-    active = int(np.count_nonzero(gen != NEVER))
-    result = PercolationResult(
-        threshold=r,
-        seeds=frozenset(np.flatnonzero(gen == 0).tolist()),
-        generation=gen,
-        tau=int(rounds.size),
-        contagious=active == n,
-        active_count=active,
-        per_round_counts=tuple(int(np.count_nonzero(gen == k)) for k in range(1, rounds.size + 1)),
-    )
-    return g, result
+    return g, PercolationResult(r, frozenset(np.flatnonzero(gen == 0).tolist()), gen)
 
 
 def rules_hold(graph, gen, r):
@@ -384,10 +390,6 @@ class TestProcessProperties:
         if res.tau == 0:
             return
         res.generation[res.generation == res.tau] = NEVER
-        res.active_count -= res.per_round_counts[-1]
-        res.per_round_counts = res.per_round_counts[:-1]
-        res.tau -= 1
-        res.contagious = False
         with pytest.raises(ValueError, match=f"by round {res.tau + 1}"):
             validate_result(g, res)
 
@@ -475,6 +477,37 @@ class TestPercolator:
     @PROPERTY_SETTINGS
     @given(case=graph_and_batches())
     @pytest.mark.parametrize("path", PATHS)
+    def test_counters_match_the_map_after_each_batch(self, path, case):
+        # validate_result reads the counts off the map, so the engine's own
+        # running counters are held to it here
+        g, batches, r = case
+        with engine_path(path):
+            state = on_path(path, g, r)
+            for batch in batches:
+                res = state.add_seeds(batch).result()
+                assert (state.active_count, state.contagious, state.rounds) == (
+                    res.active_count, res.contagious, res.tau)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_counters_number_rounds_on_across_batches(self, path):
+        g = sample_gnp(GnpParams(300, 0.02, 3))
+        batches = [[0, 1, 2], [5, 7], list(range(10, 40, 3)), range(300)]
+        adj = graph_adjacency(g)
+        with engine_path(path):
+            state = on_path(path, g, 2)
+            for i, batch in enumerate(batches):
+                res = state.add_seeds(batch).result()
+                gen_oracle = resumed_oracle(adj, batches[: i + 1], 2)
+                assert state.rounds == res.tau == max(gen_oracle.values())
+                assert state.active_count == res.active_count == len(gen_oracle)
+                assert state.contagious == res.contagious == (i == 3)
+                child = state.copy()
+                assert (child.active_count, child.rounds) == (state.active_count, state.rounds)
+        assert state.rounds > 2  # rounds ran after the first batch
+
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_batches())
+    @pytest.mark.parametrize("path", PATHS)
     def test_repeated_and_active_seeds_are_noops(self, path, case):
         g, batches, r = case
         with engine_path(path):
@@ -546,6 +579,8 @@ class TestPercolator:
                 ([0, np.float64(2.0)], "2.0"),
                 (["1"], "'1'"),
                 ((v for v in [0, 2.0]), "2.0"),
+                ([True], "True"),
+                ([0, np.True_], "True"),
             ):
                 with pytest.raises(ValueError, match=f"seed id {shown} is not an integer"):
                     on_path(path, c4, 2).add_seeds(seeds)
