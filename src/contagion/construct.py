@@ -296,10 +296,10 @@ def search_minimal_tuple(
     ``rng.integers(size=m)`` call, which yields the values of m scalar draws,
     and one sort of the keys ``iteration * n + w`` over the chosen rows finds
     every iteration's common neighbours.  The iterations with a candidate are
-    then handled in order; when an extension was drawn by a later iteration of
-    the batch, the batch is cut back to that iteration and its draws are
-    replayed in the next, so the finds are those of the one-iteration-at-a-time
-    search.
+    then handled in order, each chain read off the taken draws (r per
+    iteration); when an extension was drawn by a later iteration of the batch,
+    the batch is cut back to that iteration and its draws are replayed in the
+    next, so the finds are those of the one-iteration-at-a-time search.
     """
     n = graph.vertex_count
     r = params.r
@@ -325,9 +325,6 @@ def search_minimal_tuple(
         taken = taken[: r * size]
         rows = draws[taken]
         pool[rows] = False
-        chain = rows.tolist()
-        chosen_at = dict(zip(chain, (np.arange(rows.size) // r).tolist()))
-        starts = [0, *(taken[r - 1 : -1 : r] + 1).tolist()]  # each iteration's first draw
         pos = int(taken[-1]) + 1
 
         keys = gather_rows(graph, rows).astype(np.int64)
@@ -339,15 +336,16 @@ def search_minimal_tuple(
             i, w = divmod(key, n)  # w neighbours all r chosen of iteration i
             if i >= end:
                 break
-            if i == last or not (pool[w] or i < chosen_at.get(w, -1) < end):
+            # the iteration that drew w, looked up only once w has left the pool (end if none did)
+            j = end if pool[w] else int(next(iter(np.flatnonzero(rows == w) // r), end))
+            if i == last or not (pool[w] or i < j < end):
                 continue
             last = i
-            j = chosen_at.get(w, end)
             if j < end:  # iteration j drew w, which leaves the pool first: replay from j
                 pool[rows[r * j : r * end]] = True
-                end, pos = j, starts[j]
+                end, pos = j, int(taken[r * j - 1]) + 1
             pool[w] = False
-            seeds = chain[r * i : r * i + r]
+            seeds = rows[r * i : r * i + r].tolist()
             state = Percolator(graph, r).add_seeds(seeds)
             if state.contagious:
                 return frozenset(seeds), state.result()

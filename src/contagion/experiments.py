@@ -550,7 +550,8 @@ def run_threshold(config: ExperimentConfig) -> ExperimentOutcome:
     """Bracket, then bisect, the p where the tuple search succeeds half the time.
 
     A bracket that cannot be closed on either side (no success up to the cap,
-    or still success below the floor) sets ``no_crossing`` and flags the run.
+    or still success below the floor) sets ``no_crossing`` and flags the run,
+    as does a located ratio outside [1/band, band] (``threshold_ratio_band``).
     """
     records: list[ExperimentRecord] = []
     summary: dict = {"per_n": []}
@@ -578,7 +579,7 @@ def run_threshold(config: ExperimentConfig) -> ExperimentOutcome:
                 break
         lo = hi / 2.0
         while not no_crossing and rate(lo) >= 0.5:
-            lo /= 2.0
+            hi, lo = lo, lo / 2.0  # lo succeeded, so the crossing lies below it
             no_crossing = lo < floor
         p50 = p_lo = p_hi = ratio = None
         if no_crossing:
@@ -593,6 +594,8 @@ def run_threshold(config: ExperimentConfig) -> ExperimentOutcome:
             p_lo, p_hi = lo, hi
             p50 = (lo + hi) / 2.0
             ratio = p50 * (n * math.log(n) ** (config.r - 1)) ** (1.0 / config.r)
+            band = statistical_thresholds()["threshold_ratio_band"]
+            flagged |= not 1 / band <= ratio <= band
             records.append(
                 ExperimentRecord(
                     mode="threshold",

@@ -94,12 +94,12 @@ class Percolator:
     """Resumable state of the process on one graph.
 
     ``add_seeds(vs)`` seeds the inactive ids among ``vs`` (repeated or active
-    ids are no-ops) and runs on to fixation; ``copy()`` gives an independent
-    child state.  Rounds are numbered on across batches (``rounds`` counts them
-    so far), so the active set is the closure of all seeds so far and
-    ``result()`` passes ``validate_result``, but a fresh ``percolate`` of the
-    union numbers the generations differently.  The state keeps no seed list:
-    the seeds are the generation-0 vertices.  A fresh state holds the
+    ids are no-ops) and runs on to fixation.  Rounds are numbered on across
+    batches (``rounds`` counts them so far), so the active set is the closure
+    of all seeds so far, in any batch order, and ``result()`` passes
+    ``validate_result``, but a fresh ``percolate`` of the union numbers the
+    generations differently.  The state keeps no seed list: the seeds are the
+    generation-0 vertices.  A fresh state holds the
     generation map and the active-neighbour counts ``hits`` as dicts keyed by
     vertex and steps each wave one adjacency row at a time, so a run that
     stalls early costs what it touched, not O(n).  A batch of more than ``_SPARSE_ENTRIES`` distinct ids,
@@ -122,13 +122,6 @@ class Percolator:
         if type(self._generation) is dict:
             return v in self._generation
         return self._generation[v] != NEVER
-
-    def copy(self) -> "Percolator":
-        child = object.__new__(Percolator)
-        child.graph, child.r = self.graph, self.r
-        child.active_count, child.rounds = self.active_count, self.rounds
-        child._generation, child._hits = self._generation.copy(), self._hits.copy()
-        return child
 
     def add_seeds(self, vs: Iterable[int]) -> "Percolator":
         """Seed the inactive ids among ``vs`` and run to fixation; returns self.

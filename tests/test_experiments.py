@@ -278,6 +278,35 @@ def test_threshold_flags_unclosed_lower_bracket(monkeypatch):
     assert all(rec.variant == "probe" for rec in outcome.records)
 
 
+def test_threshold_flags_a_ratio_out_of_band(monkeypatch, capsys):
+    # the ratio located at n = 300 (about 1.16) lies outside a band of 1.01
+    cuts = {**statistical_thresholds(), "threshold_ratio_band": 1.01}
+    monkeypatch.setattr(experiments_module, "statistical_thresholds", lambda: cuts)
+    outcome = run_experiment(ExperimentConfig(mode="threshold", n_list=(300,), probe_trials=2))
+    (entry,) = outcome.summary["per_n"]
+    assert outcome.flagged and not entry["no_crossing"]
+    assert not 1 / 1.01 <= entry["ratio"] <= 1.01
+    assert main(["threshold", "--n", "300", "--probe-trials", "2"]) == 2
+    assert "[FLAGGED]" in capsys.readouterr().err
+
+
+def test_threshold_halving_keeps_its_last_success(monkeypatch):
+    # A search that succeeds exactly when p >= 0.3 p_pred: p_pred and p_pred / 2
+    # both succeed, so no probe after the bracket phase may lie above p_pred / 2.
+    p_pred = predicted_threshold(300, 2)
+
+    def fake_trial(config, n, p, trial):
+        return [ExperimentRecord(mode="threshold", n=n, d=p * n, p=p, r=config.r, trial=trial,
+                                 rng_seed=0, variant="probe", success=p >= 0.3 * p_pred)]
+
+    monkeypatch.setattr(experiments_module, "_search_trial", fake_trial)
+    outcome = run_experiment(ExperimentConfig(mode="threshold", n_list=(300,), probe_trials=2))
+    (entry,) = outcome.summary["per_n"]
+    probes = [p / p_pred for p in entry["probes"]]
+    assert probes[0] == 0.25 and [x for x in probes if x >= 0.5] == [0.5, 1.0]
+    assert entry["p_lo"] < 0.3 * p_pred <= entry["p_hi"] <= 0.5 * p_pred
+
+
 class TestConfigValidation:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

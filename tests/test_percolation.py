@@ -501,8 +501,9 @@ class TestPercolator:
                 assert state.rounds == res.tau == max(gen_oracle.values())
                 assert state.active_count == res.active_count == len(gen_oracle)
                 assert state.contagious == res.contagious == (i == 3)
-                child = state.copy()
-                assert (child.active_count, child.rounds) == (state.active_count, state.rounds)
+                # a fresh state seeded with the union in one batch reaches the same closure
+                union = on_path(path, g, 2).add_seeds([v for b in batches[: i + 1] for v in b])
+                assert union.active_count == state.active_count
         assert state.rounds > 2  # rounds ran after the first batch
 
     @PROPERTY_SETTINGS
@@ -520,33 +521,6 @@ class TestPercolator:
             for batch in batches:
                 state.add_seeds(batch)
         assert snapshot(state.result()) == before
-
-    @PROPERTY_SETTINGS
-    @given(case=graph_and_batches(), extra=st.lists(st.integers(0, 23), max_size=6))
-    @pytest.mark.parametrize("path", PATHS)
-    def test_copy_leaves_parent_unchanged(self, path, case, extra):
-        g, batches, r = case
-        first, rest = (batches[0], batches[1:]) if batches else ([], [])
-        extra = [v for v in extra if v < g.vertex_count]
-        with engine_path(path):
-            parent = on_path(path, g, r).add_seeds(first)
-            before = snapshot(parent.result())
-            active = active_set(parent)
-            child = parent.copy().add_seeds(extra)
-            assert snapshot(parent.result()) == before
-            assert active_set(parent) == active
-            assert active_set(child) >= active  # the child's closure extends its parent's
-            # The parent resumes from its own state, not the child's.
-            for batch in rest:
-                parent.add_seeds(batch)
-        adj = graph_adjacency(g)
-        gen_oracle = resumed_oracle(adj, [first, *rest], r)
-        assert parent.result().generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(g.vertex_count)]
-        gen_child = resumed_oracle(adj, [first, extra], r)
-        assert child.result().generation.tolist() == [gen_child.get(v, NEVER) for v in range(g.vertex_count)]
-        assert_hits_exact(parent)
-        assert_hits_exact(child)
-        validate_result(g, child.result())
 
     @PROPERTY_SETTINGS
     @given(case=graph_and_seeds())
@@ -593,7 +567,8 @@ class TestPercolator:
     @given(case=graph_and_batches())
     def test_wave_starters_match_seeded_copies(self, case):
         # the exact solver's last-seed rule: an inactive vertex starts a wave
-        # exactly when seeding it in a copy activates more than itself
+        # exactly when seeding it after the batches activates more than itself;
+        # a fresh state seeded with the union and v reaches that closure
         g, batches, r = case
         n = g.vertex_count
         state, hits, mask, rows = Percolator(g, r), [0] * n, 0, adjacency_lists(g)
@@ -601,9 +576,10 @@ class TestPercolator:
             mask = exact_module._grow(rows, r, hits, mask, sorted(set(batch) - state.result().active))
             state.add_seeds(batch)
         dead = exact_module._dead_last_seeds(rows, r, hits, mask)
+        seeded = [v for batch in batches for v in batch]
         for v in range(n):
             if not state.is_active(v):
-                grown = state.copy().add_seeds([v]).active_count - state.active_count
+                grown = Percolator(g, r).add_seeds([*seeded, v]).active_count - state.active_count
                 assert (dead >> v & 1 == 0) == (grown > 1 or state.active_count == n - 1), v
 
     def test_list_state_at_any_size(self):
@@ -613,20 +589,18 @@ class TestPercolator:
         seeds = list(range(0, 600, 7))
         hits, rows = [0] * 600, adjacency_lists(g)
         mask = exact_module._grow(rows, 2, hits, 0, seeds[:40])
-        state = Percolator(g, 2)
-        child = state.copy().add_seeds(seeds[:40]).copy()
-        mask = exact_module._grow(rows, 2, hits, mask, sorted(set(seeds[40:]) - child.result().active))
-        child.add_seeds(seeds[40:])
+        state = Percolator(g, 2).add_seeds(seeds[:40])
+        mask = exact_module._grow(rows, 2, hits, mask, sorted(set(seeds[40:]) - state.result().active))
+        state.add_seeds(seeds[40:])
         ref = percolate(g, seeds, 2)
         assert mask == sum(1 << v for v in ref.active)
-        assert child.result().active == ref.active
-        gen = child.result().generation
+        assert state.result().active == ref.active
+        gen = state.result().generation
         for v, row in enumerate(rows):
             if gen[v] == NEVER:
                 assert hits[v] == sum(gen[u] != NEVER for u in row), v
-        assert_hits_exact(child)
-        validate_result(g, child.result())
-        assert state.active_count == 0
+        assert_hits_exact(state)
+        validate_result(g, state.result())
 
     @pytest.mark.parametrize("kind", [list, np.array])
     def test_distinct_ids_pick_the_seed_layout(self, kind):
@@ -645,13 +619,12 @@ class TestPercolator:
         g = Graph.from_edges(10, edges + [(0, 2), (0, 3), (1, 2), (1, 3)])
         with engine_path("switch"):
             state = on_path("switch", g, 2).add_seeds([0])
-            assert type(state._generation) is dict
-            child = state.copy().add_seeds([1])
-            assert type(child._generation) is np.ndarray
-        assert type(state._generation) is dict and state.active_count == 1
-        assert child.result().generation.tolist() == [0, 0, 1, 1, 2, 2, 2, 2, 2, 2]
-        assert child.result().per_round_counts == (2, 6)
-        validate_result(g, child.result())
+            assert type(state._generation) is dict and state.active_count == 1
+            state.add_seeds([1])
+            assert type(state._generation) is np.ndarray
+        assert state.result().generation.tolist() == [0, 0, 1, 1, 2, 2, 2, 2, 2, 2]
+        assert state.result().per_round_counts == (2, 6)
+        validate_result(g, state.result())
 
     @pytest.mark.parametrize("path", ["dense", "push"])
     def test_stops_once_all_active(self, path):
@@ -670,10 +643,10 @@ class TestPercolator:
         batches = [[0, 1, 2], [5, 7], list(range(10, 40, 3))]
         with engine_path("pull"), gathered() as sizes:
             state = on_path("pull", g, 2).add_seeds(batches[0])
-            child = state.copy().add_seeds(batches[2])
-            state.add_seeds(batches[1])
             # the first wave pulls: it gathers the rows of every vertex but the seeds
             assert sizes[0] == g.degrees.sum() - g.degrees[batches[0]].sum()
+            state.add_seeds(batches[1])
+            child = on_path("pull", g, 2).add_seeds(batches[0]).add_seeds(batches[2])
         adj = graph_adjacency(g)
         for got, batch_list in ((state, batches[:2]), (child, [batches[0], batches[2]])):
             gen_oracle = resumed_oracle(adj, batch_list, 2)
