@@ -498,16 +498,23 @@ _MODE_TABLE = {
 
 
 def _grid_points(config: ExperimentConfig, axis: str) -> list[tuple[int, float]]:
+    """The (n, x) grid points; a ValueError names the field, entry and n of any p out of range."""
     if axis == "d":
         if not config.d_list:
             raise ValueError(f"mode {config.mode!r} requires d_list")
-        return [(n, float(d)) for n in config.n_list for d in config.d_list]
-    # generations: the given p values, or a multiple of the predicted threshold
-    return [
-        (n, float(p))
-        for n in config.n_list
-        for p in config.p_list or [_THRESHOLD_MULT * predicted_threshold(n, config.r)]
-    ]
+        field, points = "d_list", [(n, float(d)) for n in config.n_list for d in config.d_list]
+    elif config.p_list:
+        field, points = "p_list", [(n, float(p)) for n in config.n_list for p in config.p_list]
+    else:  # generations: by default a multiple of the predicted threshold at each n
+        field = "n_list"
+        points = [(n, _THRESHOLD_MULT * predicted_threshold(n, config.r)) for n in config.n_list]
+    for n, x in points:
+        p = x / n if axis == "d" else x
+        if not (0 < p < 1 if config.mode == "compare" else 0 <= p <= 1):  # compare's critical size needs it
+            entry = f"{n} (the default p)" if field == "n_list" else f"{x:g}"
+            raise ValueError(f"{field} entry {entry} gives p = {p:g} at n = {n}, outside "
+                             + ("(0, 1) in compare mode" if config.mode == "compare" else "[0, 1]"))
+    return points
 
 
 def _run_grid(config: ExperimentConfig) -> ExperimentOutcome:

@@ -6,9 +6,10 @@ The one engine, ``Percolator``, keeps a per-vertex count of active neighbors
 and steps each round as one wave (row by row while waves are small, then a
 wave of ``graph.spread``, which pushes or pulls and stops once every vertex
 is active), so a full run costs O(n + m), and a run that stalls after a few
-activations costs about what it touched.  It can resume: seeds added to a state at fixation spread from
-there, so a caller that grows a seed set one vertex at a time pays for the
-new activations only.  ``percolate`` runs a fresh state once.
+activations costs about what it touched.  It can resume: seeds added to a
+state at fixation spread from there, so a caller that grows a seed set one
+vertex at a time pays for the new activations only.  ``percolate`` runs a
+fresh state once; every trace the package returns is ``percolate``'s for its seeds.
 """
 
 from __future__ import annotations
@@ -37,14 +38,17 @@ class PercolationResult:
 
     ``generation[v]`` is the round in which v became active (0 for seeds,
     NEVER if the process never reached it).  Every other fact of the run is
-    read off the map at each access: ``tau`` is its last round and
-    ``per_round_counts[g - 1]`` the number of vertices of generation g, so the
-    counts sum to ``active_count - len(seeds)``.
+    read off the map at each access: ``seeds`` are the generation-0 vertices,
+    ``tau`` is the last round and ``per_round_counts[g - 1]`` the number of
+    vertices of generation g, so the counts sum to ``active_count - len(seeds)``.
     """
 
     threshold: int
-    seeds: frozenset[int]
     generation: np.ndarray
+
+    @property
+    def seeds(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.generation == 0).tolist())
 
     @property
     def active(self) -> frozenset[int]:
@@ -94,25 +98,24 @@ class Percolator:
     """Resumable state of the process on one graph.
 
     ``add_seeds(vs)`` seeds the inactive ids among ``vs`` (repeated or active
-    ids are no-ops) and runs on to fixation.  Rounds are numbered on across
-    batches (``rounds`` counts them so far), so the active set is the closure
-    of all seeds so far, in any batch order, and ``result()`` passes
-    ``validate_result``, but a fresh ``percolate`` of the union numbers the
-    generations differently.  The state keeps no seed list: the seeds are the
-    generation-0 vertices.  A fresh state holds the
+    ids are no-ops) and runs on to fixation, so the active set is the closure
+    of all seeds so far, in any batch order; ``rounds`` counts the rounds run
+    so far, on across batches.  The state keeps no seed list: the seeds are the
+    generation-0 vertices, and ``result()`` is the trace of a fresh run from them
+    (a state's own map if it was seeded in one batch).  A fresh state holds the
     generation map and the active-neighbour counts ``hits`` as dicts keyed by
-    vertex and steps each wave one adjacency row at a time, so a run that
-    stalls early costs what it touched, not O(n).  A batch of more than ``_SPARSE_ENTRIES`` distinct ids,
-    or a wave (the seed batch counts as one) over more adjacency entries, moves
-    the state for good to numpy arrays and the push/pull waves of
+    vertex and steps each wave one adjacency row at a time, so a run that stalls
+    early costs what it touched, not O(n).  A batch of more than ``_SPARSE_ENTRIES``
+    distinct ids, or a wave (the seed batch counts as one) over more adjacency
+    entries, moves the state for good to numpy arrays and the push/pull waves of
     ``graph.spread``.  On either layout ``hits`` is exact for inactive vertices only.
     """
 
-    __slots__ = ("graph", "r", "active_count", "rounds", "_generation", "_hits")
+    __slots__ = ("graph", "r", "active_count", "rounds", "_generation", "_hits", "_resumed")
 
     def __init__(self, graph: Graph, r: int):
         self.graph, self.r, self.active_count, self.rounds = graph, checked_threshold(r), 0, 0
-        self._generation, self._hits = {}, {}
+        self._generation, self._hits, self._resumed = {}, {}, False
 
     @property
     def contagious(self) -> bool:
@@ -127,6 +130,7 @@ class Percolator:
         """Seed the inactive ids among ``vs`` and run to fixation; returns self.
         A state stays sparse only for a batch of at most ``_SPARSE_ENTRIES`` distinct ids."""
         ids, generation = as_vertex_array(vs, self.graph.vertex_count, what="seed"), self._generation
+        self._resumed = self.rounds > 0  # rounds never go back, so once set it stays
         if type(generation) is dict and ids.size <= _SPARSE_ENTRIES:
             fresh = [v for v in ids.tolist() if v not in generation]
             generation.update(dict.fromkeys(fresh, 0))
@@ -141,14 +145,12 @@ class Percolator:
         return self
 
     def result(self) -> PercolationResult:
-        """A snapshot of the state as a trace; later batches do not change it."""
-        generation = self._generation_array()
-        return PercolationResult(self.r, frozenset(np.flatnonzero(generation == 0).tolist()), generation)
-
-    def _generation_array(self) -> np.ndarray:
-        if type(self._generation) is dict:
-            return _filled(self.graph.vertex_count, NEVER, self._generation)
-        return np.array(self._generation, dtype=np.int64)
+        """The trace of a fresh run from the state's seeds; later batches do not change it."""
+        gen = self._generation
+        gen = _filled(self.graph.vertex_count, NEVER, gen) if type(gen) is dict else gen.copy()
+        if self._resumed:
+            return percolate(self.graph, np.flatnonzero(gen == 0), self.r)
+        return PercolationResult(self.r, gen)
 
     def _spread_sparse(self, frontier: list[int]) -> None:
         indptr, indices, r = self.graph.indptr, self.graph.indices, self.r
@@ -203,48 +205,44 @@ def mandatory_seeds(graph: Graph, r: int) -> frozenset[int]:
 
 
 def validate_result(graph: Graph, result: PercolationResult) -> None:
-    """Replay a trace and raise ValueError if its generation map breaks the process.
+    """Replay a trace and raise ValueError unless it is the run from its seeds.
 
-    The counts, tau and the contagious flag are read off the map, so only the
-    map is checked: its length and values, that its generation-0 vertices are
-    the seed set, that no round from 1 to tau is empty, the activation rule
-    itself (every vertex of generation g >= 1 has at least r neighbors of
-    strictly earlier generation) and fixation (every vertex left inactive has
-    fewer than r active neighbors).
+    The seeds, counts, tau and the contagious flag are read off the map, so
+    only the map is checked: its length and values, the activation rule both
+    ways (a vertex of generation g >= 1 has at least r neighbors of generation
+    at most g - 1, and fewer than r of generation at most g - 2) and fixation
+    (every vertex left inactive has fewer than r active neighbors).  Only
+    ``percolate``'s map for the generation-0 vertices passes; the first vertex
+    at fault, by generation and then id, is named.
     """
-    n = graph.vertex_count
-    gen = result.generation
-    r = result.threshold
-    if gen.shape != (n,):
+    gen, r = result.generation, result.threshold
+    if gen.shape != (graph.vertex_count,):
         raise ValueError("generation array has wrong length")
     if np.any(gen < NEVER):
         raise ValueError(f"generation {gen.min()} is neither a round nor NEVER")
-    if frozenset(np.flatnonzero(gen == 0).tolist()) != result.seeds:
-        raise ValueError("generation-0 vertices disagree with the seed set")
     tau = result.tau
-    if 0 in result.per_round_counts:
-        raise ValueError("a round with no activations was recorded")
-    # Rank inactive vertices after every round; then, for an active vertex,
-    # "earlier" neighbors are those of lower generation, and for an inactive
-    # one they are all its active neighbors.
+    # Rank inactive vertices after every round.  An arc's lag, its row's rank minus
+    # its neighbor's, is >= 1 for an earlier neighbor (for an inactive row, an active
+    # one) and >= 2 for one active two rounds before; a trailing 0 for rows that start at the end.
     rank = gen.astype(np.int32)
     rank[gen == NEVER] = tau + 1
-    # One flag per arc, summed per row; a trailing False for rows that start at the end.
-    earlier = np.zeros(graph.indices.size + 1, dtype=bool)
-    np.less(rank[graph.indices], np.repeat(rank, graph.degrees), out=earlier[:-1])
-    earlier_count = np.add.reduceat(earlier, graph.indptr[:-1], dtype=np.int32)
-    earlier_count[graph.degrees == 0] = 0  # reduceat gives an empty row the next row's first flag
-    short = np.flatnonzero((gen >= 1) & (earlier_count < r))
-    if short.size:
-        v = int(short[np.argmin(gen[short])])
+    lag = np.zeros(graph.indices.size + 1, dtype=np.int32)
+    np.subtract(np.repeat(rank, graph.degrees), rank[graph.indices], out=lag[:-1])
+    earlier, before = (np.add.reduceat(lag >= k, graph.indptr[:-1], dtype=np.int32) for k in (1, 2))
+    isolated = graph.degrees == 0  # reduceat gives an empty row the next row's first flag
+    earlier[isolated] = before[isolated] = 0
+    bad = np.flatnonzero((gen >= 1) & ((earlier < r) | (before >= r)))
+    if bad.size:
+        v = int(bad[np.argmin(gen[bad])])
         raise ValueError(
-            f"vertex {v} activated in round {gen[v]} with only "
-            f"{earlier_count[v]} earlier neighbors"
+            f"vertex {v} activated in round {gen[v]} with only {earlier[v]} earlier neighbors" if earlier[v] < r
+            else f"vertex {v} activated in round {gen[v]} but had {before[v]} active neighbors by round "
+            f"{gen[v] - 2}, so it would activate by round {gen[v] - 1}"
         )
-    stuck = np.flatnonzero((gen == NEVER) & (earlier_count >= r))
+    stuck = np.flatnonzero((gen == NEVER) & (earlier >= r))
     if stuck.size:
         v = int(stuck[0])
         raise ValueError(
-            f"vertex {v} is inactive with {earlier_count[v]} active neighbors, "
+            f"vertex {v} is inactive with {earlier[v]} active neighbors, "
             f"so it would activate by round {tau + 1}: the trace stops before fixation"
         )

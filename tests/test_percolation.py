@@ -19,9 +19,12 @@ from contagion import (
     Graph,
     PercolationResult,
     Percolator,
+    TupleSearchParams,
     mandatory_seeds,
     percolate,
+    predicted_threshold,
     sample_gnp,
+    search_minimal_tuple,
     validate_result,
 )
 from contagion import exact as exact_module
@@ -34,6 +37,7 @@ from conftest import (
     complete_graph,
     gathered,
     naive_percolate,
+    naive_tuple_search,
     random_graph_edges,
     wave_rule,
 )
@@ -235,7 +239,7 @@ class TestResultShape:
         assert sum(res.per_round_counts) == res.active_count - len(res.seeds)
 
     def test_counts_are_read_off_the_map(self, c4):
-        assert [f.name for f in dataclasses.fields(PercolationResult)] == ["threshold", "seeds", "generation"]
+        assert [f.name for f in dataclasses.fields(PercolationResult)] == ["threshold", "generation"]
         res = percolate(c4, [0, 2], 2)
         res.generation[3] = NEVER
         assert (res.tau, res.active_count, res.contagious, res.per_round_counts) == (1, 3, False, (1,))
@@ -250,8 +254,8 @@ class TestValidator:
 
     def test_rejects_tampered_generation(self, c4):
         res = percolate(c4, [0, 2], 2)
-        res.generation[1] = 0  # claim a non-seed was a seed
-        with pytest.raises(ValueError):
+        res.generation[3] = 2  # both neighbors are seeds, so 3 activates in round 1
+        with pytest.raises(ValueError, match="vertex 3 activated in round 2 but had 2 active neighbors by round 0"):
             validate_result(c4, res)
 
     def test_rejects_premature_activation(self, path5):
@@ -275,8 +279,20 @@ class TestValidator:
     def test_rejects_an_empty_round(self, path5):
         res = percolate(path5, [0, 2, 4], 2)
         res.generation[[1, 3]] = [1, 3]  # 3 has two earlier neighbors, but round 2 is empty
-        with pytest.raises(ValueError, match="a round with no activations"):
+        with pytest.raises(ValueError, match="vertex 3 activated in round 3 but had 2 active neighbors by round 1"):
             validate_result(path5, res)
+
+    def test_rejects_a_resumed_numbering(self):
+        # seeding 4 after 0 and 1 had run two rounds once numbered 5 in round 3;
+        # its neighbors 0 and 4 are seeds, so the run from the seeds activates it in round 1
+        g = Graph.from_edges(6, [(0, 2), (1, 2), (1, 3), (2, 3), (4, 5), (0, 5)])
+        state = Percolator(g, 2).add_seeds([0, 1]).add_seeds([4])
+        assert state.rounds == 3
+        assert state.result().generation.tolist() == [0, 0, 1, 2, 0, 1]
+        validate_result(g, state.result())
+        resumed = PercolationResult(2, np.array([0, 0, 1, 2, 0, 3]))
+        with pytest.raises(ValueError, match="vertex 5 activated in round 3 but had 2 active neighbors by round 1"):
+            validate_result(g, resumed)
 
     def test_rejects_trace_cut_before_fixation(self):
         g = sample_gnp(GnpParams(2000, 0.01, 1))
@@ -314,29 +330,33 @@ def graph_and_generation_map(draw):
     # relabel the rounds present as 1..tau so that no round is empty
     rounds = np.unique(raw[raw >= 1])
     gen = np.where(raw >= 1, np.searchsorted(rounds, raw) + 1, raw)
-    return g, PercolationResult(r, frozenset(np.flatnonzero(gen == 0).tolist()), gen)
+    return g, PercolationResult(r, gen)
 
 
 def rules_hold(graph, gen, r):
-    """Loop reference: activation needs r earlier neighbors; fixation leaves none with r.
+    """Loop reference: a vertex of generation g >= 1 has at least r neighbors of
+    generation at most g - 1 and fewer than r of generation at most g - 2;
+    fixation leaves no inactive vertex with r active neighbors.
 
-    None when both hold; else the (vertex, round, neighbor count) the validator
-    names: the earliest-generation vertex without support (the lowest id among
-    ties) with its round and earlier neighbors, or failing that the lowest
+    None when all hold; else the (vertex, round, neighbor count) the validator
+    names: the earliest-generation vertex that breaks the first rule (the lowest
+    id among ties) with its round and either its earlier neighbors, if too few,
+    or its neighbors active by round g - 2; or failing that the lowest
     inactive vertex with r active neighbors, the round it would activate in and
     its active neighbors.
     """
-    short, stuck = [], []
+    bad, stuck = [], []
     for v, row in enumerate(adjacency_lists(graph)):
         active = [u for u in row if gen[u] != NEVER]
-        earlier = sum(1 for u in active if gen[u] < gen[v])
-        if gen[v] >= 1 and earlier < r:
-            short.append((int(gen[v]), v, earlier))
+        earlier = sum(1 for u in active if gen[u] <= gen[v] - 1)
+        before = sum(1 for u in active if gen[u] <= gen[v] - 2)
+        if gen[v] >= 1 and (earlier < r or before >= r):
+            bad.append((int(gen[v]), v, earlier if earlier < r else before))
         if gen[v] == NEVER and len(active) >= r:
             stuck.append((v, int(gen.max(initial=0)) + 1, len(active)))
-    if short:
-        g, v, earlier = min(short)
-        return v, g, earlier
+    if bad:
+        g, v, count = min(bad)
+        return v, g, count
     return stuck[0] if stuck else None
 
 
@@ -452,6 +472,11 @@ def resumed_oracle(adj, batches, r):
     return gen
 
 
+def seeded(gen_oracle):
+    """The seeds of a ``resumed_oracle`` map: the ids inactive when their batch came."""
+    return sorted(v for v, g in gen_oracle.items() if g == 0)
+
+
 class TestPercolator:
     @PROPERTY_SETTINGS
     @given(case=graph_and_batches())
@@ -462,16 +487,23 @@ class TestPercolator:
             state = on_path(path, g, r)
             for batch in batches:
                 assert state.add_seeds(batch) is state
-        gen_oracle = resumed_oracle(graph_adjacency(g), batches, r)
-        res = state.result()
-        assert res.generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(g.vertex_count)]
+            res = state.result()
+            again = percolate(g, res.seeds, r)
+        adj = graph_adjacency(g)
+        gen_oracle = resumed_oracle(adj, batches, r)
+        # the trace is the fresh run from the seeds (the ids inactive when their batch
+        # came, not the whole union); only ``rounds`` numbers on across batches
+        fresh, _ = naive_percolate(adj, seeded(gen_oracle), r)
+        assert res.seeds == frozenset(seeded(gen_oracle))
+        assert res.generation.tolist() == [fresh.get(v, NEVER) for v in range(g.vertex_count)]
+        assert res.generation.tolist() == again.generation.tolist()
+        assert state.rounds == max(gen_oracle.values(), default=0)
         assert res.active == frozenset(gen_oracle)
         assert state.active_count == len(gen_oracle)
         assert state.contagious == (len(gen_oracle) == g.vertex_count)
         assert active_set(state) == frozenset(gen_oracle)
         assert all(state.is_active(v) == (v in gen_oracle) for v in range(g.vertex_count))
         assert_hits_exact(state)
-        # Rounds numbered on across batches still obey the activation rule.
         validate_result(g, res)
 
     @PROPERTY_SETTINGS
@@ -479,14 +511,15 @@ class TestPercolator:
     @pytest.mark.parametrize("path", PATHS)
     def test_counters_match_the_map_after_each_batch(self, path, case):
         # validate_result reads the counts off the map, so the engine's own
-        # running counters are held to it here
+        # running counters are held to it here; rounds number on across batches
         g, batches, r = case
+        adj = graph_adjacency(g)
         with engine_path(path):
             state = on_path(path, g, r)
-            for batch in batches:
+            for i, batch in enumerate(batches):
                 res = state.add_seeds(batch).result()
-                assert (state.active_count, state.contagious, state.rounds) == (
-                    res.active_count, res.contagious, res.tau)
+                assert (state.active_count, state.contagious) == (res.active_count, res.contagious)
+                assert state.rounds == max(resumed_oracle(adj, batches[: i + 1], r).values(), default=0)
 
     @pytest.mark.parametrize("path", PATHS)
     def test_counters_number_rounds_on_across_batches(self, path):
@@ -498,12 +531,15 @@ class TestPercolator:
             for i, batch in enumerate(batches):
                 res = state.add_seeds(batch).result()
                 gen_oracle = resumed_oracle(adj, batches[: i + 1], 2)
-                assert state.rounds == res.tau == max(gen_oracle.values())
+                assert state.rounds == max(gen_oracle.values())
                 assert state.active_count == res.active_count == len(gen_oracle)
                 assert state.contagious == res.contagious == (i == 3)
-                # a fresh state seeded with the union in one batch reaches the same closure
+                # a fresh state seeded with the union in one batch reaches the same closure,
+                # and one seeded with the seeds so far gives the trace
                 union = on_path(path, g, 2).add_seeds([v for b in batches[: i + 1] for v in b])
                 assert union.active_count == state.active_count
+                fresh = on_path(path, g, 2).add_seeds(seeded(gen_oracle))
+                assert res.generation.tolist() == fresh.result().generation.tolist()
         assert state.rounds > 2  # rounds ran after the first batch
 
     @PROPERTY_SETTINGS
@@ -533,6 +569,47 @@ class TestPercolator:
         assert res.tau == tau_oracle
         assert res.generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(g.vertex_count)]
         assert snapshot(res) == snapshot(percolate(g, seeds, r))
+
+    @PROPERTY_SETTINGS
+    @given(case=graph_and_seeds())
+    @pytest.mark.parametrize("path", PATHS)
+    def test_only_the_fresh_map_passes(self, path, case):
+        # the rule fixes every round: with the seeds kept, moving any other
+        # vertex to another round up to tau + 1, or to NEVER, breaks it
+        g, seeds, r = case
+        with engine_path(path):
+            res = on_path(path, g, r).add_seeds(seeds).result()
+        validate_result(g, res)
+        for v in np.flatnonzero(res.generation != 0).tolist():
+            for value in {NEVER, *range(1, res.tau + 2)} - {int(res.generation[v])}:
+                edited = PercolationResult(r, res.generation.copy())
+                edited.generation[v] = value
+                with pytest.raises(ValueError):
+                    validate_result(g, edited)
+
+    def test_one_batch_states_run_the_engine_once(self):
+        # percolate and the tuple search seed each state once, and result() reads
+        # such a state's own map; a state resumed after rounds ran re-runs once
+        g = sample_gnp(GnpParams(1000, predicted_threshold(1000, 2), 4))
+        calls, real = [], Percolator.add_seeds
+
+        def spy(state, vs):
+            calls.append(state)
+            return real(state, vs)
+
+        with mock.patch.object(Percolator, "add_seeds", spy):
+            percolate(g, range(0, 1000, 9), 2)
+            assert len(calls) == 1
+            calls.clear()
+            search_minimal_tuple(g, TupleSearchParams(r=2, max_iterations=150, rng_seed=2))
+            judged = []
+            naive_tuple_search(g, 2, 150, 2, judged)
+            assert len(calls) == len(judged) > 1
+            calls.clear()
+            resumed = Percolator(g, 2).add_seeds(range(0, 1000, 9)).add_seeds([1, 2])
+            assert resumed.rounds > 0 and len(calls) == 2
+            resumed.result()
+            assert len(calls) == 3
 
     @pytest.mark.parametrize("path", PATHS)
     def test_rejects_bad_seed_and_threshold(self, path, c4):
@@ -649,7 +726,9 @@ class TestPercolator:
             child = on_path("pull", g, 2).add_seeds(batches[0]).add_seeds(batches[2])
         adj = graph_adjacency(g)
         for got, batch_list in ((state, batches[:2]), (child, [batches[0], batches[2]])):
-            gen_oracle = resumed_oracle(adj, batch_list, 2)
+            resumed = resumed_oracle(adj, batch_list, 2)
+            gen_oracle, _ = naive_percolate(adj, seeded(resumed), 2)
+            assert got.rounds == max(resumed.values())
             assert got.result().generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(300)]
             assert_hits_exact(got)
             validate_result(g, got.result())
@@ -696,7 +775,10 @@ class TestBigSeedArrays:
                 mock.patch.object(Percolator, "_spread_sparse", side_effect=AssertionError("sparse step")):
             assert state.add_seeds(big.astype(dtype)) is state
         assert type(state._generation) is np.ndarray
-        gen_oracle = resumed_oracle(graph_adjacency(graph), [first, big.tolist()], 2)
+        adj = graph_adjacency(graph)
+        resumed = resumed_oracle(adj, [first, big.tolist()], 2)
+        gen_oracle, _ = naive_percolate(adj, seeded(resumed), 2)
+        assert state.rounds == max(resumed.values())
         res = state.result()
         assert res.generation.tolist() == [gen_oracle.get(v, NEVER) for v in range(self.N)]
         assert 0 < len(gen_oracle) < self.N and res.seeds == {v for v, g in gen_oracle.items() if g == 0}
