@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import Graph, induced_edge_count
+from .graph import Graph, checked_int, induced_edge_count
 from .percolation import NEVER, PercolationResult, checked_threshold
 
 __all__ = [
@@ -108,8 +108,7 @@ class GenerationsDag:
 
 def sample_generations_dag(k: int, rng_seed: int = 0) -> GenerationsDag:
     """Draw the two-arc recursive DAG on k vertices."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    k, rng_seed = checked_int(k, "k", 2), checked_int(rng_seed, "rng_seed")
     if k == 2:
         return GenerationsDag(k=2, arcs=())
     rng = np.random.Generator(np.random.PCG64(rng_seed))

@@ -149,20 +149,6 @@ class ExperimentRecord:
             self.variant,
         )
 
-    def to_row(self) -> list[str]:
-        out = []
-        for name in CSV_HEADER_V1:
-            v = getattr(self, name)
-            if v is None:
-                out.append("")
-            elif isinstance(v, bool):
-                out.append("true" if v else "false")
-            elif isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        return out
-
     def to_json_dict(self) -> dict:
         return asdict(self)
 
@@ -651,7 +637,9 @@ def render_csv(records: list[ExperimentRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER_V1)
     for rec in records:
-        writer.writerow(rec.to_row())
+        # The csv module writes None as an empty cell and a float by its repr.
+        row = (getattr(rec, name) for name in CSV_HEADER_V1)
+        writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in row)
     return buf.getvalue()
 
 

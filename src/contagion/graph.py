@@ -90,7 +90,7 @@ def as_vertex_array(vertices: Iterable[int], n: int, *, what: str = "vertex") ->
         bad = ends[0] if ends[0] < 0 else ends[-1]
         raise ValueError(f"{what} id {bad} out of range for graph with {n} vertices")
     if numeric:
-        return count_by_vertex(ids.astype(np.int64), n, counts=False)[0]
+        return count_by_vertex(ids.astype(np.int64), n)[0]
     return np.array(ids, dtype=np.int64)
 
 
@@ -229,26 +229,16 @@ def _gather(indices, starts, sizes, ends) -> np.ndarray:
     return indices[idx]
 
 
-def count_by_vertex(ids: np.ndarray, n: int, counts: bool = True):
+def count_by_vertex(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ids of ``ids`` in increasing order, and how often each occurs.
-
-    The counts are None unless ``counts``.  Without them a sort and one compare
-    take 5.6 us on 5 ids and 10 us on 1000, against 13.5 and 22 us for
-    ``np.unique(return_counts=True)``; a bare ``np.unique`` took 110 us on 1000
-    ids on numpy 2.4, which then hashes instead of sorting.
 
     Past n ids an n-slot ``np.bincount`` beats the sort (measured at n = 20000, 200000).
     """
     if ids.size <= n:
-        if counts:
-            return np.unique(ids, return_counts=True)
-        ids = np.sort(ids)
-        first = np.ones(ids.size, dtype=bool)
-        np.not_equal(ids[1:], ids[:-1], out=first[1:])
-        return ids[first], None
+        return np.unique(ids, return_counts=True)
     tally = np.bincount(ids, minlength=n)
     distinct = np.flatnonzero(tally)
-    return distinct, tally[distinct] if counts else None
+    return distinct, tally[distinct]
 
 
 # Label of a vertex that a run of ``spread`` may still reach.
@@ -278,8 +268,7 @@ def spread(graph: Graph, label: np.ndarray, frontier: np.ndarray, left: int,
             nbrs = nbrs[label[nbrs] == UNREACHED]
             if not nbrs.size:
                 break
-            # At threshold 1 with no hits to keep, every unreached end is reached.
-            cand, counts = count_by_vertex(nbrs, n, counts=r > 1 or hits is not None)
+            cand, counts = count_by_vertex(nbrs, n)
             if hits is not None:
                 counts += hits[cand]
         else:
@@ -289,7 +278,7 @@ def spread(graph: Graph, label: np.ndarray, frontier: np.ndarray, left: int,
             counts = np.diff(reached[spans[2]], prepend=0)
         if hits is not None:
             hits[cand] = counts
-        frontier = cand if counts is None else cand[counts >= r]
+        frontier = cand[counts >= r]
         if not frontier.size:
             break
         wave += 1

@@ -208,18 +208,24 @@ def validate_result(graph: Graph, result: PercolationResult) -> None:
     """Replay a trace and raise ValueError unless it is the run from its seeds.
 
     The seeds, counts, tau and the contagious flag are read off the map, so
-    only the map is checked: its length and values, the activation rule both
+    only the threshold and the map are checked: the map's length, its integer
+    dtype, its values (NEVER or a round below n), the activation rule both
     ways (a vertex of generation g >= 1 has at least r neighbors of generation
     at most g - 1, and fewer than r of generation at most g - 2) and fixation
     (every vertex left inactive has fewer than r active neighbors).  Only
     ``percolate``'s map for the generation-0 vertices passes; the first vertex
     at fault, by generation and then id, is named.
     """
-    gen, r = result.generation, result.threshold
-    if gen.shape != (graph.vertex_count,):
+    gen, r, n = result.generation, checked_threshold(result.threshold), graph.vertex_count
+    if gen.shape != (n,):
         raise ValueError("generation array has wrong length")
-    if np.any(gen < NEVER):
-        raise ValueError(f"generation {gen.min()} is neither a round nor NEVER")
+    if gen.dtype.kind not in "iu":
+        raise ValueError(f"generation array must hold integers, got dtype {gen.dtype}")
+    out = np.flatnonzero((gen < NEVER) | (gen > n - 1))  # so every value fits the int32 ranks
+    if out.size:
+        v = int(out[0])
+        raise ValueError(f"vertex {v} is out of range: generation {gen[v]} is neither a round nor NEVER "
+                         f"(a run on {n} vertices ends by round {n - 1})")
     tau = result.tau
     # Rank inactive vertices after every round.  An arc's lag, its row's rank minus
     # its neighbor's, is >= 1 for an earlier neighbor (for an inactive row, an active

@@ -154,3 +154,17 @@ class TestGenerationsDag:
             sample_generations_dag(0, 0)
         with pytest.raises(ValueError):
             sample_generations_dag(1, 0)
+
+    @pytest.mark.parametrize("k, rng_seed, field", [
+        (5.5, 0, "k"), ("5", 0, "k"), (True, 0, "k"),
+        (5, -1, "rng_seed"), (5, 1.5, "rng_seed"), (5, True, "rng_seed"),
+    ])
+    def test_rejects_non_integer_arguments(self, k, rng_seed, field):
+        for draw in (sample_generations_dag, h2k_longest_path):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+                draw(k, rng_seed)
+
+    def test_integral_float_k_is_an_int(self):
+        dag = sample_generations_dag(3.0)
+        assert type(dag.k) is int and dag.k == 3
+        assert dag.arcs == sample_generations_dag(3).arcs

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from contagion import (
     normalized_size,
     percolate,
     predicted_threshold,
+    render_csv,
     render_output,
     run_experiment,
     statistical_thresholds,
@@ -109,6 +111,13 @@ class TestThresholdsFile:
         )
 
 
+def csv_row(rec: ExperimentRecord) -> list[str]:
+    """The cells ``render_csv`` writes for ``rec``, read back through ``csv.reader``."""
+    header, row = csv.reader(io.StringIO(render_csv([rec])))
+    assert header == CSV_HEADER_V1
+    return row
+
+
 class TestRecordSchema:
     def test_header_is_frozen(self):
         assert CSV_HEADER_V1 == [
@@ -125,12 +134,13 @@ class TestRecordSchema:
             contagious=True, success=True, constructed_size=3,
             exact_size=None, normalized_size=0.5, value=None, value2=None,
         )
-        row = rec.to_row()
+        row = csv_row(rec)
         assert len(row) == len(CSV_HEADER_V1)
-        assert row[0] == "sweep"
+        assert row[:8] == ["sweep", "10", "2.0", "0.2", "2", "0", "7", "construct"]
         assert row[11] == "true"
         assert row[14] == ""  # None renders empty
         assert row[15] == "0.5"
+        assert csv_row(dataclasses.replace(rec, contagious=False))[11] == "false"
 
     def test_float_repr_round_trips(self):
         rec = ExperimentRecord(
@@ -140,8 +150,8 @@ class TestRecordSchema:
             constructed_size=None, exact_size=None, normalized_size=None,
             value=None, value2=None,
         )
-        row = rec.to_row()
-        assert float(row[3]) == rec.p
+        row = csv_row(rec)
+        assert row[3] == repr(rec.p) and float(row[3]) == rec.p
 
 
 @pytest.fixture(scope="module")

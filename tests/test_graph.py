@@ -165,8 +165,6 @@ class TestCountByVertex:
         want_ids, want_counts = np.unique(ids, return_counts=True)
         assert got_ids.tolist() == want_ids.tolist()
         assert got_counts.tolist() == want_counts.tolist()
-        only_ids, no_counts = graph_module.count_by_vertex(ids, 50, counts=False)
-        assert only_ids.tolist() == want_ids.tolist() and no_counts is None
 
 
 class TestSampler:

@@ -83,7 +83,7 @@ def _density_report():
 
 
 # blake2b (16-byte) digests of json.dumps(obj.to_json_dict(), sort_keys=True):
-# they pin every key and value of the JSON the CLI prints for each kind of trace.
+# they pin every key and value of the JSON of each kind of trace.
 PINNED_JSON = {
     "staged_trace": (_staged_trace, "87164887ba95d435e8706ac77cb1554f"),
     "fallback_trace": (_fallback_trace, "ff9713b9721904ff229f309a30697a97"),

@@ -276,6 +276,27 @@ class TestValidator:
         with pytest.raises(ValueError, match=f"generation {NEVER - 1} is neither a round nor NEVER"):
             validate_result(c4, res)
 
+    @pytest.mark.parametrize("value", [2**31 - 1, 2**32 + 1, 4])
+    def test_rejects_a_round_past_n_minus_1(self, c4, value):
+        res = percolate(c4, [0, 2], 2)
+        res.generation[3] = value
+        message = f"vertex 3 is out of range: generation {value} is neither a round nor NEVER"
+        with pytest.raises(ValueError, match=message):
+            validate_result(c4, res)
+
+    @pytest.mark.parametrize("value", [1.5, 0.5, 1.0])
+    def test_rejects_a_non_integer_map(self, c4, value):
+        gen = percolate(c4, [0, 2], 2).generation.astype(float)
+        gen[1] = value
+        with pytest.raises(ValueError, match="generation array must hold integers, got dtype float64"):
+            validate_result(c4, PercolationResult(2, gen))
+
+    @pytest.mark.parametrize("threshold", [1, 0, 2.5, True])
+    def test_rejects_a_threshold_below_2(self, c4, threshold):
+        res = percolate(c4, [0, 2], 2)
+        with pytest.raises(ValueError, match="activation threshold r must be an integer >= 2"):
+            validate_result(c4, PercolationResult(threshold, res.generation))
+
     def test_rejects_an_empty_round(self, path5):
         res = percolate(path5, [0, 2, 4], 2)
         res.generation[[1, 3]] = [1, 3]  # 3 has two earlier neighbors, but round 2 is empty
@@ -339,12 +360,17 @@ def rules_hold(graph, gen, r):
     fixation leaves no inactive vertex with r active neighbors.
 
     None when all hold; else the (vertex, round, neighbor count) the validator
-    names: the earliest-generation vertex that breaks the first rule (the lowest
-    id among ties) with its round and either its earlier neighbors, if too few,
+    names: the lowest vertex whose value is neither NEVER nor a round below n,
+    with no round or count; or failing that the earliest-generation vertex that
+    breaks the first rule (the lowest id among ties) with its round and either
+    its earlier neighbors, if too few,
     or its neighbors active by round g - 2; or failing that the lowest
     inactive vertex with r active neighbors, the round it would activate in and
     its active neighbors.
     """
+    out = [v for v in range(graph.vertex_count) if not NEVER <= gen[v] < graph.vertex_count]
+    if out:
+        return out[0], None, None
     bad, stuck = [], []
     for v, row in enumerate(adjacency_lists(graph)):
         active = [u for u in row if gen[u] != NEVER]
@@ -398,6 +424,9 @@ class TestProcessProperties:
             validate_result(g, res)
         message = str(err.value)
         assert message.startswith(f"vertex {v} ")
+        if rnd is None:  # a run on n vertices ends by round n - 1
+            assert f"generation {res.generation[v]} is neither a round nor NEVER" in message
+            return
         assert re.search(rf"\bround {rnd}\b", message)
         assert re.search(rf"\b{count} (earlier|active) neighbors", message)
 
